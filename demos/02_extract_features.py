@@ -38,9 +38,8 @@ spec = FrequencySpec(
 corpus_dir = generate(spec, out / "corpus")
 corpus = load_corpus(corpus_dir.root, corpus_dir.labels)
 
-# Extraction is an embarrassingly parallel map over samples; the result
-# is bit-identical for any worker count.
-matrix, stats = extract_corpus(corpus, catalog, jobs=4)
+# Extraction maps each sample to its bits independently, in corpus order.
+matrix, stats = extract_corpus(corpus, catalog)
 print(f"matrix: {len(matrix)} samples x {len(matrix.feature_names)} features")
 print(f"extraction: {stats.total_duration_ms:.1f} ms total, "
       f"{stats.mean_duration_ms:.2f} ms per sample, {len(stats.warnings)} warnings")

@@ -26,7 +26,7 @@ catalog = load_catalog("builtin", "M")
 spec = spec_from_table(data_table_path("table6"), catalog, 1000, 1000, seed=7)
 corpus_dir = generate(spec, out / "corpus")
 corpus = load_corpus(corpus_dir.root, corpus_dir.labels)
-matrix, _ = extract_corpus(corpus, catalog, jobs=4)
+matrix, _ = extract_corpus(corpus, catalog)
 
 tables = build_contingency(matrix)
 ranked = rank_features(tables)

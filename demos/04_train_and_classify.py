@@ -27,7 +27,7 @@ if out.exists():
 catalog = load_catalog("builtin", "M")
 spec = spec_from_table(data_table_path("table6"), catalog, 1000, 1000, seed=7)
 corpus_dir = generate(spec, out / "corpus")
-matrix, _ = extract_corpus(load_corpus(corpus_dir.root, corpus_dir.labels), catalog, jobs=4)
+matrix, _ = extract_corpus(load_corpus(corpus_dir.root, corpus_dir.labels), catalog)
 
 ranked = rank_features(build_contingency(matrix))
 selection = select_top(ranked, preset="15f")

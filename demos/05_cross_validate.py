@@ -26,9 +26,9 @@ if out.exists():
 catalog = load_catalog("builtin", "M")
 spec = spec_from_table(data_table_path("table6"), catalog, 1000, 1000, seed=7)
 corpus_dir = generate(spec, out / "corpus")
-matrix, _ = extract_corpus(load_corpus(corpus_dir.root, corpus_dir.labels), catalog, jobs=4)
+matrix, _ = extract_corpus(load_corpus(corpus_dir.root, corpus_dir.labels), catalog)
 
-report = cross_validate(matrix, preset="15f", alpha=1.0, k=5, seed=42, jobs=2)
+report = cross_validate(matrix, preset="15f", alpha=1.0, k=5, seed=42)
 
 print("fold   acc      err      fpr      tpr      precision")
 for fold in report.folds:

@@ -37,7 +37,7 @@ corpus = load_corpus(corpus_dir.root, corpus_dir.labels)
 
 def timed(catalog):
     started = time.perf_counter()
-    matrix, _ = extract_corpus(corpus, catalog, jobs=1)
+    matrix, _ = extract_corpus(corpus, catalog)
     return matrix, time.perf_counter() - started
 
 

@@ -33,11 +33,8 @@ from .detectors import (
     ExtractionStats,
     FeatureMatrix,
     FeatureVector,
-    detect_code_property,
-    detect_permission,
     extract_corpus,
     extract_features,
-    scan_embedded_payloads,
 )
 from .errors import ApkSiftError
 from .evaluation import (
@@ -91,8 +88,6 @@ __all__ = [
     "classify",
     "confusion",
     "cross_validate",
-    "detect_code_property",
-    "detect_permission",
     "emit_report",
     "enumerate_code_units",
     "enumerate_payload_files",
@@ -109,7 +104,6 @@ __all__ = [
     "read_manifest",
     "roc",
     "save_model",
-    "scan_embedded_payloads",
     "select_top",
     "spec_from_table",
     "stratified_kfold",

@@ -3,9 +3,10 @@
 Training estimates class priors from class sizes and, for every selected
 feature, the probability of seeing the bit set in each class with
 additive smoothing: theta = (positives + alpha) / (class size + 2*alpha).
-Scoring evaluates the posterior odds of the two classes in log space
-(the likelihood product underflows past a few dozen features otherwise)
-and normalizes back to a probability. A sample is called suspicious when
+Scoring has one vectorized implementation over a whole matrix: the log
+joints of the two classes (the likelihood product underflows past a few
+dozen features otherwise), normalized back to a probability; a single
+vector is scored as a one-row matrix. A sample is called suspicious when
 its posterior reaches the decision threshold; exact ties go to
 suspicious, the costlier class to miss.
 
@@ -27,10 +28,6 @@ from .detectors import FeatureMatrix, FeatureVector
 from .errors import ModelError
 
 MODEL_SCHEMA_VERSION = 1
-
-
-def _log(x: float) -> float:
-    return math.log(x) if x > 0.0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -105,76 +102,78 @@ def train(
     )
 
 
-def _project(model: TrainedModel, vector: FeatureVector) -> np.ndarray:
-    positions = {}
-    for i, name in enumerate(vector.names):
-        positions[name] = i
+def _log_joints(model: TrainedModel, matrix: FeatureMatrix) -> np.ndarray:
+    """Unnormalized log joints per row: column 0 benign, column 1 suspicious.
+
+    A bit its class gives probability zero (only possible with alpha=0)
+    makes the row impossible for that class: the cell is masked out of the
+    matmul, since 0 * log(0) would be NaN, and the row's joint set to -inf.
+    """
     try:
-        idx = [positions[n] for n in model.feature_names]
-    except KeyError as exc:
-        raise ModelError(f"vector is missing model feature {exc}") from exc
-    return vector.bits[idx].astype(np.float64)
+        cols = [matrix.feature_names.index(n) for n in model.feature_names]
+    except ValueError:
+        missing = [n for n in model.feature_names if n not in matrix.feature_names]
+        raise ModelError(f"input is missing model feature(s): {', '.join(missing)}") from None
+    bits = matrix.bits[:, cols].astype(np.float64)
+    off = 1.0 - bits
+    out = np.empty((len(matrix), 2), dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        for k, (prior, label) in enumerate(
+            zip(model.priors, (ClassLabel.BENIGN, ClassLabel.SUSPICIOUS))
+        ):
+            theta = model.theta(label)
+            log_on, log_off = np.log(theta), np.log(1.0 - theta)
+            dead_on, dead_off = np.isneginf(log_on), np.isneginf(log_off)
+            log_on[dead_on] = 0.0
+            log_off[dead_off] = 0.0
+            out[:, k] = np.log(prior) + bits @ log_on + off @ log_off
+            out[bits @ dead_on + off @ dead_off > 0, k] = -np.inf
+    return out
 
 
-def _joint_logs(model: TrainedModel, bits: np.ndarray) -> tuple[float, float]:
-    """Unnormalized log joints (benign, suspicious) for one projected vector."""
-    prior_ben, prior_sus = model.priors
-    logs = []
-    for prior, label in ((prior_ben, ClassLabel.BENIGN), (prior_sus, ClassLabel.SUSPICIOUS)):
-        theta = model.theta(label)
-        total = _log(prior)
-        for r, t in zip(bits, theta):
-            total += _log(t) if r else _log(1.0 - t)
-        logs.append(total)
-    return logs[0], logs[1]
+def _posteriors(joints: np.ndarray) -> np.ndarray:
+    """Normalize log joints to P(suspicious); 0.5 where both classes are impossible."""
+    m = joints.max(axis=1, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    expd = np.exp(joints - m)
+    denom = expd.sum(axis=1)
+    return np.where(denom > 0, expd[:, 1] / np.where(denom > 0, denom, 1.0), 0.5)
+
+
+def posterior_matrix(model: TrainedModel, matrix: FeatureMatrix) -> np.ndarray:
+    """P(suspicious | row) for every row of a matrix."""
+    return _posteriors(_log_joints(model, matrix))
+
+
+def classify_matrix(
+    model: TrainedModel, matrix: FeatureMatrix, threshold: float = 0.5
+) -> list[Prediction]:
+    """Predictions for every row: suspicious iff the posterior reaches
+    ``threshold`` (ties suspicious); the score is the log2 odds taken
+    straight from the log joints, so it stays finite when the posterior
+    rounds to 0 or 1."""
+    joints = _log_joints(model, matrix)
+    with np.errstate(invalid="ignore"):
+        scores = (joints[:, 1] - joints[:, 0]) / math.log(2)
+    scores[np.isnan(scores)] = 0.0  # both classes impossible: no evidence either way
+    return [
+        Prediction(sample_id, p, ClassLabel.SUSPICIOUS if p >= threshold else ClassLabel.BENIGN, s)
+        for sample_id, p, s in zip(matrix.ids, _posteriors(joints).tolist(), scores.tolist())
+    ]
+
+
+def _one_row(vector: FeatureVector) -> FeatureMatrix:
+    return FeatureMatrix((vector.sample_id,), (None,), vector.names, vector.bits.reshape(1, -1))
 
 
 def posterior(model: TrainedModel, vector: FeatureVector) -> float:
     """P(suspicious | vector), computed in log space then normalized."""
-    log_ben, log_sus = _joint_logs(model, _project(model, vector))
-    if log_ben == -math.inf and log_sus == -math.inf:
-        return 0.5  # both classes impossible under alpha=0; no evidence either way
-    m = max(log_ben, log_sus)
-    denom = math.exp(log_ben - m) + math.exp(log_sus - m)
-    return math.exp(log_sus - m) / denom
+    return float(posterior_matrix(model, _one_row(vector))[0])
 
 
 def classify(model: TrainedModel, vector: FeatureVector, threshold: float = 0.5) -> Prediction:
     """Decide suspicious iff the posterior reaches ``threshold`` (ties suspicious)."""
-    p = posterior(model, vector)
-    decision = ClassLabel.SUSPICIOUS if p >= threshold else ClassLabel.BENIGN
-    if p >= 1.0:
-        score = math.inf
-    elif p <= 0.0:
-        score = -math.inf
-    else:
-        score = math.log2(p / (1.0 - p))
-    return Prediction(vector.sample_id, p, decision, score)
-
-
-def posterior_matrix(model: TrainedModel, matrix: FeatureMatrix) -> np.ndarray:
-    """Vectorized posteriors for every row of a matrix (same math as posterior)."""
-    try:
-        cols = [matrix.feature_names.index(n) for n in model.feature_names]
-    except ValueError as exc:
-        raise ModelError(f"matrix is missing a model feature: {exc}") from exc
-    bits = matrix.bits[:, cols].astype(np.float64)
-    prior_ben, prior_sus = model.priors
-    with np.errstate(divide="ignore"):
-        out = np.empty((len(matrix), 2), dtype=np.float64)
-        for k, (prior, label) in enumerate(
-            ((prior_ben, ClassLabel.BENIGN), (prior_sus, ClassLabel.SUSPICIOUS))
-        ):
-            theta = model.theta(label)
-            out[:, k] = (
-                np.log(prior) + bits @ np.log(theta) + (1.0 - bits) @ np.log(1.0 - theta)
-            )
-    m = out.max(axis=1, keepdims=True)
-    m[~np.isfinite(m)] = 0.0
-    expd = np.exp(out - m)
-    denom = expd.sum(axis=1)
-    result = np.where(denom > 0, expd[:, 1] / np.where(denom > 0, denom, 1.0), 0.5)
-    return result
+    return classify_matrix(model, _one_row(vector), threshold)[0]
 
 
 def save_model(model: TrainedModel, path: Path | str) -> None:

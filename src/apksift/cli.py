@@ -73,7 +73,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("extract", help="extract feature vectors to a matrix CSV")
     _add_corpus_args(p)
     _add_catalog_args(p)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="output matrix CSV path")
     p.add_argument("--stats", help="optional per-sample timing CSV path")
 
@@ -87,7 +86,6 @@ def build_parser() -> _Parser:
     )
     _add_corpus_args(p, labels_required=True)
     _add_catalog_args(p)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="output ranking CSV path")
 
     p = sub.add_parser("train", help="train a classifier and save the model JSON")
@@ -95,7 +93,6 @@ def build_parser() -> _Parser:
     _add_catalog_args(p)
     _add_selection_args(p)
     p.add_argument("--alpha", type=float, default=1.0, help="additive smoothing")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="output model JSON path")
 
     p = sub.add_parser("classify", help="score a corpus with a saved model")
@@ -103,7 +100,6 @@ def build_parser() -> _Parser:
     _add_catalog_args(p)
     p.add_argument("--model", required=True, help="model JSON from 'train'")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="output prediction CSV path")
 
     p = sub.add_parser(
@@ -119,7 +115,6 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv", "all"), default="all",
                    help="which report files to write")
     p.add_argument("--out", required=True, help="output report directory")
@@ -127,20 +122,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="compare extraction wall time across feature settings")
     _add_corpus_args(p, labels_required=True)
     p.add_argument("--catalog", default="builtin")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="output timing CSV path")
 
     return parser
 
 
-def _load_labeled_matrix(args, mode=None, jobs=None):
-    cat = catalog_mod.load_catalog(args.catalog, mode or args.mode)
+def _load_labeled_matrix(args):
+    cat = catalog_mod.load_catalog(args.catalog, args.mode)
     corpus = load_corpus(args.corpus, args.labels)
     unlabeled = corpus.label_counts["unlabeled"]
     if unlabeled:
         print(f"note: ignoring {unlabeled} unlabeled sample(s)", file=sys.stderr)
         corpus = _labeled_only(corpus)
-    matrix, stats = detectors.extract_corpus(corpus, cat, jobs=jobs or args.jobs)
+    matrix, stats = detectors.extract_corpus(corpus, cat)
     return cat, corpus, matrix, stats
 
 
@@ -173,7 +167,7 @@ def _cmd_gen(args) -> int:
 def _cmd_extract(args) -> int:
     cat = catalog_mod.load_catalog(args.catalog, args.mode)
     corpus = load_corpus(args.corpus, args.labels)
-    matrix, stats = detectors.extract_corpus(corpus, cat, jobs=args.jobs)
+    matrix, stats = detectors.extract_corpus(corpus, cat)
     detectors.write_matrix_csv(matrix, args.out)
     if args.stats:
         detectors.write_stats_csv(stats, args.stats)
@@ -208,12 +202,11 @@ def _cmd_classify(args) -> int:
     mode = model.catalog_mode or args.mode
     cat = catalog_mod.load_catalog(args.catalog, mode)
     corpus = load_corpus(args.corpus, args.labels)
-    matrix, _ = detectors.extract_corpus(corpus, cat, jobs=args.jobs)
+    matrix, _ = detectors.extract_corpus(corpus, cat)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["app_id", "posterior", "score", "decision"])
-        for row in range(len(matrix)):
-            pred = classifier_mod.classify(model, matrix.vector(row), threshold=args.threshold)
+        for pred in classifier_mod.classify_matrix(model, matrix, threshold=args.threshold):
             writer.writerow(
                 [pred.sample_id, f"{pred.posterior:.6f}", f"{pred.score:.6f}", pred.decision.value]
             )
@@ -229,7 +222,6 @@ def _cmd_evaluate(args) -> int:
         alpha=args.alpha,
         k=args.folds,
         seed=args.seed,
-        jobs=args.jobs,
     )
     formats = {"json": ("json",), "csv": ("csv",), "all": ("json", "csv", "svg")}[args.format]
     written = evaluation.emit_report(report, args.out, formats=formats)
@@ -247,7 +239,7 @@ def _cmd_bench(args) -> int:
 
     def timed(cat):
         start = time.perf_counter()
-        matrix, _ = detectors.extract_corpus(corpus, cat, jobs=args.jobs)
+        matrix, _ = detectors.extract_corpus(corpus, cat)
         return matrix, time.perf_counter() - start
 
     matrix_full, t_full = timed(full)

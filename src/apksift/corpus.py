@@ -154,7 +154,8 @@ def load_corpus(root: Path | str, labels: Path | str | None = None) -> Corpus:
     label_map = _read_labels(Path(labels)) if labels is not None else {}
 
     dir_ids = _sorted_paths([p.name for p in root.iterdir() if p.is_dir()])
-    missing = [app_id for app_id in label_map if app_id not in set(dir_ids)]
+    present = set(dir_ids)
+    missing = [app_id for app_id in label_map if app_id not in present]
     if missing:
         raise CorpusError(
             "label rows reference missing app directories: " + ", ".join(sorted(missing))

@@ -25,13 +25,12 @@ import csv
 import re
 import time
 import xml.etree.ElementTree as ET
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .catalog import CONTENT_KINDS, FeatureCatalog, FeatureDef
+from .catalog import CONTENT_KINDS, FeatureCatalog
 from .corpus import (
     DEFAULT_MAX_FILE_BYTES,
     AppSample,
@@ -137,13 +136,6 @@ def declared_permissions(manifest_text: str) -> tuple[set[str], list[str]]:
     return names, []
 
 
-def detect_permission(manifest_text: str, feature: FeatureDef) -> int:
-    if feature.kind != "permission":
-        raise ValueError(f"feature {feature.name!r} is not permission-kind")
-    declared, _ = declared_permissions(manifest_text)
-    return int(feature.permission_name in declared)
-
-
 def _matches_text(text: str, parts: tuple[str, ...]) -> bool:
     # Patterns never contain newlines, so a single-part hit anywhere in
     # the text is already a single-line hit; compound patterns need a
@@ -157,22 +149,6 @@ def _matches_text(text: str, parts: tuple[str, ...]) -> bool:
 
 def _matches_bytes(data: bytes, parts: tuple[str, ...]) -> bool:
     return all(p.encode("utf-8") in data for p in parts)
-
-
-def detect_code_property(text: str, feature: FeatureDef) -> int:
-    """Presence of a content-kind feature in one code unit's text."""
-    if feature.kind not in CONTENT_KINDS:
-        raise ValueError(f"feature {feature.name!r} is not a content kind")
-    return int(_matches_text(text, feature.pattern))
-
-
-def scan_embedded_payloads(sample: AppSample, feature: FeatureDef) -> int:
-    if feature.kind != "payload-extension":
-        raise ValueError(f"feature {feature.name!r} is not payload-extension kind")
-    for rel, scope in enumerate_payload_files(sample):
-        if scope in feature.scopes and rel.endswith(feature.pattern[0]):
-            return 1
-    return 0
 
 
 def _read_capped(path: Path, cap: int, rel: str, sample_id: str,
@@ -272,25 +248,13 @@ def extract_features(
 def extract_corpus(
     corpus: Corpus,
     catalog: FeatureCatalog,
-    jobs: int = 1,
     max_file_bytes: int = DEFAULT_MAX_FILE_BYTES,
 ) -> tuple[FeatureMatrix, ExtractionStats]:
-    """Extract every sample, in corpus order, optionally in parallel.
-
-    Per-sample extraction is pure, so the resulting matrix is bit-identical
-    for any worker count; only wall-clock stats vary.
-    """
+    """Extract every sample, in corpus order."""
     if len(catalog) == 0:
         raise CorpusError("cannot extract with an empty catalog")
 
-    def one(sample: AppSample) -> tuple[FeatureVector, SampleStats]:
-        return extract_features(sample, catalog, max_file_bytes)
-
-    if jobs > 1 and len(corpus) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, corpus.samples))
-    else:
-        results = [one(s) for s in corpus.samples]
+    results = [extract_features(s, catalog, max_file_bytes) for s in corpus.samples]
 
     bits = (
         np.stack([v.bits for v, _ in results])
@@ -315,28 +279,6 @@ def write_matrix_csv(matrix: FeatureMatrix, path: Path | str) -> None:
         for i, app_id in enumerate(matrix.ids):
             label = matrix.labels[i].value if matrix.labels[i] is not None else ""
             writer.writerow([app_id, label, *matrix.bits[i].tolist()])
-
-
-def read_matrix_csv(path: Path | str, mode: str | None = None) -> FeatureMatrix:
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:2] != ["app_id", "label"]:
-        raise CorpusError(f"{path}: not a vector matrix file (bad header)")
-    names = tuple(rows[0][2:])
-    ids, labels, bits = [], [], []
-    for row in rows[1:]:
-        if not row:
-            continue
-        ids.append(row[0])
-        labels.append(ClassLabel(row[1]) if row[1] else None)
-        bits.append([int(v) for v in row[2:]])
-    return FeatureMatrix(
-        ids=tuple(ids),
-        labels=tuple(labels),
-        feature_names=names,
-        bits=np.array(bits, dtype=np.uint8).reshape(len(ids), len(names)),
-        mode=mode,
-    )
 
 
 def write_stats_csv(stats: ExtractionStats, path: Path | str) -> None:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -110,18 +109,26 @@ class EvalReport:
 
 def confusion(predictions, labels: dict[str, ClassLabel]) -> ConfusionCounts:
     """Cross-tabulate predictions against ground-truth labels by sample id."""
-    n_bb = n_bs = n_sb = n_ss = 0
+    truths, decisions = [], []
     for pred in predictions:
         truth = labels.get(pred.sample_id)
         if truth is None:
             raise EvaluationError(f"prediction for {pred.sample_id!r} has no ground-truth label")
+        truths.append(truth)
+        decisions.append(pred.decision)
+    return _tally(truths, decisions)
+
+
+def _tally(truths: list[ClassLabel], decisions: list[ClassLabel]) -> ConfusionCounts:
+    n_bb = n_bs = n_sb = n_ss = 0
+    for truth, decided in zip(truths, decisions):
         if truth is ClassLabel.BENIGN:
-            if pred.decision is ClassLabel.BENIGN:
+            if decided is ClassLabel.BENIGN:
                 n_bb += 1
             else:
                 n_bs += 1
         else:
-            if pred.decision is ClassLabel.BENIGN:
+            if decided is ClassLabel.BENIGN:
                 n_sb += 1
             else:
                 n_ss += 1
@@ -272,7 +279,6 @@ def cross_validate(
     k: int = 5,
     seed: int = 0,
     threshold: float = 0.5,
-    jobs: int = 1,
 ) -> EvalReport:
     """Leakage-free k-fold evaluation: ranking and training see only the
     training portion of each fold; metrics average across folds and all
@@ -285,26 +291,19 @@ def cross_validate(
     folds = stratified_kfold(list(matrix.ids), labels, k=k, seed=seed)
     all_ids = set(matrix.ids)
 
-    def run_fold(fold_index: int):
-        test_ids = folds[fold_index]
-        train_ids = sorted(all_ids.difference(test_ids), key=lambda s: s.encode("utf-8"))
-        return _evaluate_fold(matrix, train_ids, test_ids, preset, top_n, alpha, threshold)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_fold, range(k)))
-    else:
-        outcomes = [run_fold(i) for i in range(k)]
-
     fold_results: list[FoldResult] = []
     pooled_scores: list[float] = []
     pooled_labels: list[ClassLabel] = []
-    for fold_index, (model, selection, posteriors, decisions, truths) in enumerate(outcomes):
-        counts = _confusion_from_lists(decisions, truths)
+    for fold_index, test_ids in enumerate(folds):
+        train_ids = sorted(all_ids.difference(test_ids), key=lambda s: s.encode("utf-8"))
+        _, selection, posteriors, decisions, truths = _evaluate_fold(
+            matrix, train_ids, test_ids, preset, top_n, alpha, threshold
+        )
+        counts = _tally(truths, decisions)
         fold_results.append(
             FoldResult(
                 fold=fold_index,
-                test_ids=folds[fold_index],
+                test_ids=test_ids,
                 counts=counts,
                 metrics=metrics(counts),
                 selected_features=list(selection.names),
@@ -333,27 +332,15 @@ def cross_validate(
     )
 
 
-def _confusion_from_lists(decisions: list[ClassLabel], truths: list[ClassLabel]) -> ConfusionCounts:
-    n_bb = n_bs = n_sb = n_ss = 0
-    for decided, truth in zip(decisions, truths):
-        if truth is ClassLabel.BENIGN:
-            if decided is ClassLabel.BENIGN:
-                n_bb += 1
-            else:
-                n_bs += 1
-        else:
-            if decided is ClassLabel.BENIGN:
-                n_sb += 1
-            else:
-                n_ss += 1
-    return ConfusionCounts(n_bb, n_bs, n_sb, n_ss)
-
-
 # ---------------------------------------------------------------------------
 # Report emission
 # ---------------------------------------------------------------------------
 
-def _threshold_json(value: float):
+def _threshold_value(value: float) -> float | str:
+    """A ROC threshold for JSON or CSV: the infinite sentinels as text.
+
+    ``csv`` writes a float with ``repr``, so one value serves both files.
+    """
     if value == math.inf:
         return "inf"
     if value == -math.inf:
@@ -386,19 +373,11 @@ def report_to_dict(report: EvalReport) -> dict:
         "roc": {
             "auc": report.roc.auc,
             "points": [
-                [_threshold_json(t), fpr, tpr] for t, fpr, tpr in report.roc.points
+                [_threshold_value(t), fpr, tpr] for t, fpr, tpr in report.roc.points
             ],
         },
         "warnings": report.warnings,
     }
-
-
-def _format_threshold(value: float) -> str:
-    if value == math.inf:
-        return "inf"
-    if value == -math.inf:
-        return "-inf"
-    return repr(value)
 
 
 _METRIC_COLUMNS = ("acc", "err", "fpr", "fnr", "tpr", "tnr", "precision")
@@ -447,7 +426,7 @@ def emit_report(
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["threshold", "fpr", "tpr"])
             for t, fpr, tpr in report.roc.points:
-                writer.writerow([_format_threshold(t), f"{fpr:.5f}", f"{tpr:.5f}"])
+                writer.writerow([_threshold_value(t), f"{fpr:.5f}", f"{tpr:.5f}"])
         written.append(path)
 
     if "svg" in formats:

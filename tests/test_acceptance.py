@@ -54,7 +54,7 @@ def table6_rank(tmp_path_factory):
                  "--seed", "7", "--out", str(base / "corpus")]) == 0
     assert main(["rank", "--corpus", str(base / "corpus"),
                  "--labels", str(base / "corpus" / "labels.csv"),
-                 "--mode", "M", "--jobs", "4", "--out", str(base / "rank.csv")]) == 0
+                 "--mode", "M", "--out", str(base / "rank.csv")]) == 0
     elapsed = time.perf_counter() - started
     with open(base / "rank.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -68,7 +68,7 @@ def table5_rank(tmp_path_factory):
                  "--seed", "11", "--out", str(base / "corpus")]) == 0
     assert main(["rank", "--corpus", str(base / "corpus"),
                  "--labels", str(base / "corpus" / "labels.csv"),
-                 "--mode", "M", "--jobs", "4", "--out", str(base / "rank.csv")]) == 0
+                 "--mode", "M", "--out", str(base / "rank.csv")]) == 0
     with open(base / "rank.csv", newline="") as fh:
         return list(csv.DictReader(fh))
 
@@ -120,7 +120,7 @@ def test_frequency_recovery(tmp_path_factory, catalog_m):
     spec = spec_from_table(data_table_path("table4"), catalog_m, 1000, 1000, seed=13)
     g = generate(spec, base / "corpus")
     corpus = load_corpus(g.root, g.labels)
-    matrix, _ = extract_corpus(corpus, catalog_m, jobs=4)
+    matrix, _ = extract_corpus(corpus, catalog_m)
     observed = {t.feature: (t.n_pos_ben, t.n_pos_sus) for t in build_contingency(matrix)}
     for name, (ben, mal, _) in TABLE4.items():
         assert observed[name] == (ben, mal), name
@@ -251,13 +251,13 @@ def test_end_to_end_sanity(tmp_path_factory, catalog_m, null_corpus):
         (FrequencyEntry(catalog_m.by_name("chmod"), 0, 200),), 200, 200, seed=3
     )
     g = generate(sep_spec, base / "corpus")
-    matrix, _ = extract_corpus(load_corpus(g.root, g.labels), catalog_m, jobs=4)
+    matrix, _ = extract_corpus(load_corpus(g.root, g.labels), catalog_m)
     report = cross_validate(matrix, preset="15f", alpha=1.0, k=5, seed=7)
     assert float(report.averaged.acc) == 1.0
     assert report.roc.auc == 1.0
 
     null_matrix, _ = extract_corpus(
-        load_corpus(null_corpus.root, null_corpus.labels), catalog_m, jobs=4
+        load_corpus(null_corpus.root, null_corpus.labels), catalog_m
     )
     null_report = cross_validate(null_matrix, preset="15f", alpha=1.0, k=5, seed=301)
     acc = float(null_report.averaged.acc)
@@ -280,7 +280,7 @@ def test_performance_ordering(tmp_path_factory, catalog_m):
 
     def timed_extract(cat):
         started = time.perf_counter()
-        matrix, _ = extract_corpus(corpus, cat, jobs=1)
+        matrix, _ = extract_corpus(corpus, cat)
         return matrix, time.perf_counter() - started
 
     matrix_full, t_full = timed_extract(catalog_m)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from apksift.classifier import (
     TrainedModel,
     classify,
+    classify_matrix,
     load_model,
     posterior,
     posterior_matrix,
@@ -248,6 +250,58 @@ def test_posterior_matrix_agrees_with_scalar():
     batch = posterior_matrix(model, m)
     for i, row in enumerate(rows):
         assert batch[i] == pytest.approx(posterior(model, vector_of(row)), abs=1e-12)
+
+
+def test_alpha_zero_zero_count_matches_oracle():
+    # theta_ben(f0) = 0: a set f0 rules benign out, an unset f0 must not
+    # poison the benign joint (0 * log 0 is NaN, not 0).
+    model = TrainedModel(
+        feature_names=("f0", "f1"), n_benign=10, n_suspicious=10,
+        pos_benign=(0, 5), pos_suspicious=(3, 5), alpha=0.0,
+    )
+    rows = [[0, 1], [1, 1]]
+    batch = posterior_matrix(model, _matrix(rows, [ClassLabel.BENIGN] * 2, names=("f0", "f1")))
+    for i, (row, expected) in enumerate(zip(rows, (7 / 17, 1.0))):
+        assert linear_space_posterior(model, row) == pytest.approx(expected, abs=1e-12)
+        assert batch[i] == pytest.approx(expected, abs=1e-12)
+        assert posterior(model, vector_of(row)) == pytest.approx(expected, abs=1e-12)
+
+
+def test_both_classes_impossible_posterior_half():
+    model = TrainedModel(
+        feature_names=("f0", "f1"), n_benign=10, n_suspicious=10,
+        pos_benign=(0, 5), pos_suspicious=(5, 0), alpha=0.0,
+    )
+    pred = classify(model, vector_of([1, 1]))
+    assert pred.posterior == 0.5
+    assert pred.score == 0.0
+
+
+def test_score_finite_when_posterior_rounds_to_one():
+    n = 40
+    model = TrainedModel(
+        feature_names=tuple(f"f{i}" for i in range(n)), n_benign=1000, n_suspicious=1000,
+        pos_benign=(1,) * n, pos_suspicious=(999,) * n, alpha=1.0,
+    )
+    pred = classify(model, vector_of([1] * n))
+    theta_sus = model.theta(ClassLabel.SUSPICIOUS)[0]
+    theta_ben = model.theta(ClassLabel.BENIGN)[0]
+    expected = n * math.log2(theta_sus / theta_ben)
+    assert pred.posterior == 1.0
+    assert pred.score == pytest.approx(expected, rel=1e-9)
+    assert pred.score == pytest.approx(358.631, abs=1e-3)
+
+
+def test_classify_matrix_agrees_with_classify():
+    rng = random.Random(29)
+    model = random_model(rng, 5)
+    rows = [[rng.randint(0, 1) for _ in range(5)] for _ in range(40)]
+    m = _matrix(rows, [ClassLabel.BENIGN] * 40, names=model.feature_names)
+    for i, pred in enumerate(classify_matrix(model, m, threshold=0.3)):
+        one = classify(model, vector_of(rows[i]), threshold=0.3)
+        assert (pred.sample_id, pred.decision) == (m.ids[i], one.decision)
+        assert pred.posterior == one.posterior
+        assert pred.score == pytest.approx(one.score, abs=1e-12)
 
 
 # --- persistence ---------------------------------------------------------------

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from apksift.cli import main
+from apksift import classifier
+from apksift.cli import build_parser, main
 
 from conftest import manifest_with, write_labels, write_sample
 
@@ -101,6 +102,20 @@ def test_train_and_classify(tmp_path, small_corpus):
     assert decisions["ben0"] == "benign"
 
 
+def test_classify_scores_corpus_in_one_call(tmp_path, small_corpus, monkeypatch):
+    root, labels = small_corpus
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--corpus", str(root), "--labels", str(labels),
+                 "--top", "1", "--out", str(model_path)]) == 0
+    calls = []
+    real = classifier.classify_matrix
+    monkeypatch.setattr(classifier, "classify_matrix",
+                        lambda *a, **kw: calls.append(len(a[1])) or real(*a, **kw))
+    assert main(["classify", "--corpus", str(root), "--model", str(model_path),
+                 "--out", str(tmp_path / "preds.csv")]) == 0
+    assert calls == [12]
+
+
 def test_evaluate_separable_and_deterministic(tmp_path, small_corpus):
     root, labels = small_corpus
     out1 = tmp_path / "r1"
@@ -120,15 +135,13 @@ def test_evaluate_separable_and_deterministic(tmp_path, small_corpus):
     assert (out1 / "roc.svg").read_bytes() == (out2 / "roc.svg").read_bytes()
 
 
-def test_evaluate_jobs_equivalent(tmp_path, small_corpus):
-    root, labels = small_corpus
-    base = ["evaluate", "--corpus", str(root), "--labels", str(labels), "--mode", "M",
-            "--top", "1", "--folds", "3", "--seed", "5"]
-    assert main(base + ["--out", str(tmp_path / "j1"), "--jobs", "1"]) == 0
-    assert main(base + ["--out", str(tmp_path / "j4"), "--jobs", "4"]) == 0
-    assert (tmp_path / "j1" / "report.json").read_bytes() == (
-        tmp_path / "j4" / "report.json"
-    ).read_bytes()
+def test_jobs_flag_is_usage_error(capsys):
+    common = ["--corpus", "c", "--labels", "l.csv", "--out", "o"]
+    for command in ("extract", "rank", "train", "classify", "evaluate", "bench"):
+        argv = [command, *common] + (["--model", "m.json"] if command == "classify" else [])
+        build_parser().parse_args(argv)  # valid without the flag
+        assert _systemexit_code(argv + ["--jobs", "2"]) == 1
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_evaluate_class_too_small_data_error(tmp_path, small_corpus):

@@ -25,9 +25,9 @@ def _entries(cat, counts):
     return tuple(FrequencyEntry(cat.by_name(n), b, m) for n, (b, m) in counts.items())
 
 
-def _contingency_counts(root, labels, cat, jobs=2):
+def _contingency_counts(root, labels, cat):
     corpus = load_corpus(root, labels)
-    matrix, _ = extract_corpus(corpus, cat, jobs=jobs)
+    matrix, _ = extract_corpus(corpus, cat)
     return {t.feature: (t.n_pos_ben, t.n_pos_sus) for t in build_contingency(matrix)}
 
 

@@ -4,12 +4,8 @@ import pytest
 from apksift.catalog import load_catalog, subset_catalog
 from apksift.corpus import load_corpus
 from apksift.detectors import (
-    detect_code_property,
-    detect_permission,
     extract_corpus,
     extract_features,
-    read_matrix_csv,
-    scan_embedded_payloads,
     write_matrix_csv,
     write_stats_csv,
 )
@@ -26,14 +22,21 @@ def _bit(vector, name):
     return int(vector.bits[vector.names.index(name)])
 
 
-# --- detect_permission -----------------------------------------------------
+def _extract_one(root, cat, **layout):
+    """Bits of a one-sample corpus laid out by ``write_sample``."""
+    write_sample(root, "a", **layout)
+    vector, _ = extract_features(load_corpus(root).samples[0], cat)
+    return vector
 
-def test_detect_permission_hit(cat):
-    manifest = manifest_with("READ_CONTACTS")
-    assert detect_permission(manifest, cat.by_name("READ_CONTACTS")) == 1
+
+# --- permission matching --------------------------------------------------------
+
+def test_detect_permission_hit(tmp_path, cat):
+    vector = _extract_one(tmp_path, cat, manifest=manifest_with("READ_CONTACTS"))
+    assert _bit(vector, "READ_CONTACTS") == 1
 
 
-def test_detect_permission_comment_does_not_count(cat):
+def test_detect_permission_comment_does_not_count(tmp_path, cat):
     manifest = (
         '<?xml version="1.0"?>\n'
         '<manifest xmlns:android="http://schemas.android.com/apk/res/android">\n'
@@ -41,70 +44,74 @@ def test_detect_permission_comment_does_not_count(cat):
         "  <application/>\n"
         "</manifest>\n"
     )
-    assert detect_permission(manifest, cat.by_name("READ_CONTACTS")) == 0
+    assert _bit(_extract_one(tmp_path, cat, manifest=manifest), "READ_CONTACTS") == 0
 
 
-def test_detect_permission_exact_name(cat):
+def test_detect_permission_exact_name(tmp_path, cat):
     manifest = (
         '<?xml version="1.0"?>\n'
         '<manifest xmlns:android="http://schemas.android.com/apk/res/android">\n'
         '  <uses-permission android:name="android.permission.READ_CONTACTS2"/>\n'
         "</manifest>\n"
     )
-    assert detect_permission(manifest, cat.by_name("READ_CONTACTS")) == 0
+    assert _bit(_extract_one(tmp_path, cat, manifest=manifest), "READ_CONTACTS") == 0
 
 
-def test_detect_permission_malformed_xml_fallback(cat):
+def test_detect_permission_malformed_xml_fallback(tmp_path, cat):
     broken = '<manifest><uses-permission android:name="android.permission.READ_SMS">'
-    assert detect_permission(broken, cat.by_name("READ_SMS")) == 1
+    write_sample(tmp_path, "a", manifest=broken)
+    vector, stats = extract_features(load_corpus(tmp_path).samples[0], cat)
+    assert _bit(vector, "READ_SMS") == 1
+    assert any("malformed manifest XML" in w for w in stats.warnings)
 
 
-# --- detect_code_property ---------------------------------------------------
+# --- code-property matching -------------------------------------------------------
 
-def test_detect_code_property_hit(cat):
-    assert detect_code_property('    const-string v0, "chmod 755"\n', cat.by_name("chmod")) == 1
-
-
-def test_detect_code_property_empty(cat):
-    assert detect_code_property("", cat.by_name("chmod")) == 0
+def _code_bit(root, cat, text, name):
+    return _bit(_extract_one(root, cat, code={"A.smali": text}), name)
 
 
-def test_compound_pattern_matches_smali_call_site(cat):
+def test_detect_code_property_hit(tmp_path, cat):
+    assert _code_bit(tmp_path, cat, '    const-string v0, "chmod 755"\n', "chmod") == 1
+
+
+def test_detect_code_property_empty(tmp_path, cat):
+    assert _code_bit(tmp_path, cat, "", "chmod") == 0
+
+
+def test_compound_pattern_matches_smali_call_site(tmp_path, cat):
     line = (
         "    invoke-virtual {v1, v2}, "
         "Ljava/lang/Runtime;->exec(Ljava/lang/String;)Ljava/lang/Process;\n"
     )
-    assert detect_code_property(line, cat.by_name("Runtime.exec")) == 1
+    assert _code_bit(tmp_path, cat, line, "Runtime.exec") == 1
 
 
-def test_compound_pattern_requires_same_line(cat):
+def test_compound_pattern_requires_same_line(tmp_path, cat):
     split = "    const-string v0, \"Runtime\"\n    const-string v1, \"exec(\"\n"
-    assert detect_code_property(split, cat.by_name("Runtime.exec")) == 0
+    assert _code_bit(tmp_path, cat, split, "Runtime.exec") == 0
 
 
-def test_case_sensitive_matching(cat):
-    assert detect_code_property('    const-string v0, "CHMOD"\n', cat.by_name("chmod")) == 0
+def test_case_sensitive_matching(tmp_path, cat):
+    assert _code_bit(tmp_path, cat, '    const-string v0, "CHMOD"\n', "chmod") == 0
 
 
-# --- scan_embedded_payloads --------------------------------------------------
+# --- payload-extension matching ----------------------------------------------------
 
 def test_payload_apk(tmp_path, cat):
-    write_sample(tmp_path, "a", payloads=["assets/update.apk"])
-    sample = load_corpus(tmp_path).samples[0]
-    assert scan_embedded_payloads(sample, cat.by_name(".apk")) == 1
+    vector = _extract_one(tmp_path, cat, payloads=["assets/update.apk"])
+    assert _bit(vector, ".apk") == 1
 
 
 def test_payload_none(tmp_path, cat):
-    write_sample(tmp_path, "a", manifest=manifest_with())
-    sample = load_corpus(tmp_path).samples[0]
-    assert scan_embedded_payloads(sample, cat.by_name(".apk")) == 0
+    vector = _extract_one(tmp_path, cat, manifest=manifest_with())
+    assert _bit(vector, ".apk") == 0
 
 
 def test_payload_jar_not_apk(tmp_path, cat):
-    write_sample(tmp_path, "a", payloads=["res/raw/lib.jar"])
-    sample = load_corpus(tmp_path).samples[0]
-    assert scan_embedded_payloads(sample, cat.by_name(".jar")) == 1
-    assert scan_embedded_payloads(sample, cat.by_name(".apk")) == 0
+    vector = _extract_one(tmp_path, cat, payloads=["res/raw/lib.jar"])
+    assert _bit(vector, ".jar") == 1
+    assert _bit(vector, ".apk") == 0
 
 
 # --- extract_features ---------------------------------------------------------
@@ -205,15 +212,17 @@ def test_mode_projection_consistency(tmp_path, cat):
     assert np.array_equal(matrix_m.bits[:, cols], matrix_p.bits)
 
 
-def test_parallel_determinism(tmp_path, cat):
+def test_extract_corpus_determinism(tmp_path, cat):
     for i in range(6):
         write_sample(tmp_path, f"s{i}", manifest=manifest_with("READ_SMS"),
                      code={"A.smali": f'    const-string v0, "chmod {i}"\n'})
     corpus = load_corpus(tmp_path)
-    m1, _ = extract_corpus(corpus, cat, jobs=1)
-    m8, _ = extract_corpus(corpus, cat, jobs=8)
-    assert np.array_equal(m1.bits, m8.bits)
-    assert m1.ids == m8.ids
+    m1, _ = extract_corpus(corpus, cat)
+    m2, _ = extract_corpus(corpus, cat)
+    assert np.array_equal(m1.bits, m2.bits)
+    assert m1.ids == m2.ids
+    rows = [extract_features(s, cat)[0].bits for s in corpus.samples]
+    assert np.array_equal(m1.bits, np.stack(rows))
 
 
 def test_extract_empty_corpus(tmp_path, cat):
@@ -256,10 +265,7 @@ def test_matrix_csv_roundtrip(tmp_path, cat):
     assert lines[0] == "app_id,label,READ_SMS,chmod"
     assert lines[1] == "a,suspicious,1,0"
     assert lines[2] == "b,,0,0"  # unlabeled sample: empty label column
-    back = read_matrix_csv(out)
-    assert back.ids == matrix.ids
-    assert back.labels == matrix.labels
-    assert np.array_equal(back.bits, matrix.bits)
+    assert len(lines) == 3
 
     stats_out = tmp_path / "stats.csv"
     write_stats_csv(stats, stats_out)

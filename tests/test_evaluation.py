@@ -265,14 +265,12 @@ def test_cross_validate_separable_is_perfect():
         assert fold.counts.n_bs == 0 and fold.counts.n_sb == 0
 
 
-def test_cross_validate_deterministic_and_parallel_equal():
+def test_cross_validate_deterministic():
     matrix = _separable_matrix(25, 4)
     r1 = cross_validate(matrix, top_n=2, k=5, seed=3)
     r2 = cross_validate(matrix, top_n=2, k=5, seed=3)
-    r4 = cross_validate(matrix, top_n=2, k=5, seed=3, jobs=4)
-    d1, d2, d4 = map(report_to_dict, (r1, r2, r4))
+    d1, d2 = map(report_to_dict, (r1, r2))
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
-    assert json.dumps(d1, sort_keys=True) == json.dumps(d4, sort_keys=True)
 
 
 def test_cross_validate_averaged_is_fold_mean():
