@@ -8,15 +8,29 @@ deliberate format change must record new digests and say why.
 
 The predictions CSV of ``classify`` is not pinned here; its posteriors
 and scores are checked against oracles in test_classifier.py.
+
+A second, hand-built corpus pins extraction itself: matrix bytes, warning
+texts and per-scope file counts (see the extraction contract below).
 """
 
 import hashlib
+import json
 
 import pytest
 
-from apksift.catalog import data_table_path, load_catalog
+from apksift.catalog import (
+    builtin_catalog,
+    data_table_path,
+    load_catalog,
+    parse_catalog,
+    subset_catalog,
+)
 from apksift.cli import main
+from apksift.corpus import load_corpus
 from apksift.corpusgen import FrequencyEntry, FrequencySpec, generate, spec_from_table
+from apksift.detectors import extract_corpus, write_matrix_csv
+
+from conftest import manifest_with, write_sample
 
 DIVISOR = 40
 SEED = 5
@@ -55,3 +69,139 @@ def outputs(tmp_path_factory):
 def test_output_bytes_frozen(outputs, name):
     digest = hashlib.sha256((outputs / name).read_bytes()).hexdigest()
     assert digest == FROZEN_SHA256[name], f"{name} changed"
+
+
+# --- extraction contract --------------------------------------------------------
+#
+# A hand-built corpus that exercises every matching path of the detectors:
+# nested and hidden code files, ASCII patterns next to invalid UTF-8,
+# compound patterns split by line separators, asset/resource text, binary
+# native libraries, payload suffixes, missing and truncated manifests, a
+# code file over the read cap, and a catalog pattern outside ASCII. The
+# matrix bytes, the warning texts in order and each sample's per-scope
+# file counts are frozen for the full catalog and for a small subset on
+# which early stopping shows in the counts.
+
+EXTRACT_CAP = 4096
+
+NON_ASCII_ENTRIES = [
+    {"name": "Schlüssel", "kind": "string-token", "pattern": "Schlüssel",
+     "scopes": ["assets", "code"]},
+    {"name": "ключ.call", "kind": "api-call", "pattern": ["ключ", "call("],
+     "scopes": ["code"]},
+]
+
+SUBSET = ("READ_SMS", "chmod", "Runtime.exec", "/system/bin", ".apk", "JNI_OnLoad",
+          "Schlüssel")
+
+
+def _raw(app_dir, rel, data: bytes):
+    path = app_dir / rel
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+
+
+def _build_extraction_corpus(root):
+    a = write_sample(root, "app-a", manifest=manifest_with("READ_SMS", "INTERNET"), code={
+        "com/x/y/Deep.smali": "invoke-virtual {v0}, getDeviceId\n",
+        ".hidden/H.smali": "const-string v1, \"/system/bin/sh\"\n",
+        ".Dot.smali": "invoke-static Ldalvik/system/DexClassLoader;-><init>\n",
+        "Same.smali": "invoke-virtual {v0}, Ljava/lang/Runtime;->exec(Ljava/lang/String;)\n",
+        "U.smali": "ключ.call(x)\n",
+    })
+    _raw(a, "smali/Bad.smali", b"\xff\xfe junk \xe2\x82chmod 777\n\xc0\xafremount\n")
+    _raw(a, "assets/cfg.txt", b"su -c 'ls -l x'\nSchl\xc3\xbcssel=1\n")
+    _raw(a, "res/values/strings.xml", b"<string>content://sms/inbox</string>\n")
+    _raw(a, "lib/x86/libnat.so",
+         b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)) + b"JNI_OnLoad\x00/system/xbin\x00")
+    _raw(a, "assets/payload.apk", b"PK\x03\x04")
+    _raw(a, "res/raw/extra.jar", b"PK\x03\x04")
+
+    b = write_sample(root, "app-b", manifest=manifest_with("SEND_SMS"), code={
+        "A.smali": "Runtime\rexec(\n",
+        "B.smali": "Runtime\u2028exec( ключ\u2029call(\n",
+        "C.smali": "getRuntime()\n",
+    })
+    _raw(b, "smali/D.smali", b"\xd0\xba\xd0\xbb\xd1\x8e\xd1 call(\n")
+    _raw(b, "res/layout/main.xml", b"SMSReceiver getprop\n")
+    _raw(b, "other/notes.txt", b"chown sendTextMessage\n")
+
+    c = write_sample(root, "app-c", code={"M.smali": "getSimSerialNumber\n"})
+    _raw(c, "smali/Big.smali", b"getSubscriberId\n" + b"x" * EXTRACT_CAP)
+    _raw(c, "assets/boot.sh", b"mount -o remount /system\r\nSchl\xfcssel\n")
+    _raw(c, "lib/armeabi/libc.so", b"\x00\x01insmod /data/local/tmp\x00")
+
+    d = write_sample(root, "app-d", code={"Z.smali": "Cipher\n"})
+    _raw(d, "AndroidManifest.xml",
+         b'<?xml version="1.0"?>\n<manifest xmlns:android="http://schemas.android.com/'
+         b'apk/res/android">\n  <uses-permission android:name="android.permission.CAMERA"/>\n'
+         b'  <uses-permission android:name="android.permission.REA')
+    _raw(d, "assets/lib/inner.jar", b"")
+
+    write_sample(root, "app-e", manifest=manifest_with(), code={
+        "A.smali": "chmod Runtime.exec( /system/bin JNI_OnLoad Schlüssel\n",
+        "B.smali": "getDeviceId\n",
+    })
+    _raw(root / "app-e", "assets/x.txt", b"remount\n")
+    return root
+
+
+def _extraction_record(root, catalog):
+    matrix, stats = extract_corpus(load_corpus(root), catalog, max_file_bytes=EXTRACT_CAP)
+    out = root.parent / f"matrix-{len(catalog)}.csv"
+    write_matrix_csv(matrix, out)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    scanned = {s.sample_id: s.files_scanned for s in stats.per_sample}
+    return digest, stats.warnings, scanned
+
+
+@pytest.fixture(scope="module")
+def extraction_catalogs():
+    entries = json.loads(builtin_catalog()) + NON_ASCII_ENTRIES
+    full = parse_catalog(json.dumps(entries, ensure_ascii=False), "M")
+    return {"full": full, "subset": subset_catalog(full, SUBSET)}
+
+
+def _scanned(manifest, code, assets, resources, native_lib):
+    return {"manifest": manifest, "code": code, "assets": assets, "resources": resources,
+            "native-lib": native_lib, "other": 0}
+
+
+FROZEN_EXTRACTION = {
+    "full": (
+        "f7a3056b23965256dc2ecf1bea42355686d35b7429fc275ac30d94f3c1462343",
+        {
+            "app-a": _scanned(1, 6, 2, 2, 1),
+            "app-b": _scanned(1, 4, 0, 1, 0),
+            "app-c": _scanned(0, 1, 1, 0, 1),
+            "app-d": _scanned(1, 1, 1, 0, 0),
+            "app-e": _scanned(1, 2, 1, 0, 0),
+        },
+    ),
+    "subset": (
+        "d64087b44af69a0194261f84c16c43bfcf1255893a01c3a7db99b5f75e8beaa0",
+        {
+            "app-a": _scanned(1, 6, 2, 0, 1),
+            "app-b": _scanned(1, 4, 0, 0, 0),
+            "app-c": _scanned(0, 1, 1, 0, 1),
+            "app-d": _scanned(1, 1, 1, 0, 0),
+            "app-e": _scanned(1, 1, 0, 0, 0),
+        },
+    ),
+}
+
+FROZEN_WARNINGS = [
+    "app-c: manifest missing; permission features zeroed",
+    f"app-c: skipped smali/Big.smali (exceeds {EXTRACT_CAP} byte cap)",
+    "app-d: malformed manifest XML (unclosed token: line 4, column 2); "
+    "fell back to attribute scan",
+]
+
+
+@pytest.mark.parametrize("label", sorted(FROZEN_EXTRACTION))
+def test_extraction_frozen(tmp_path, extraction_catalogs, label):
+    root = _build_extraction_corpus(tmp_path / "corpus")
+    digest, warnings, scanned = _extraction_record(root, extraction_catalogs[label])
+    assert digest == FROZEN_EXTRACTION[label][0], "matrix.csv changed"
+    assert warnings == FROZEN_WARNINGS
+    assert scanned == FROZEN_EXTRACTION[label][1]
