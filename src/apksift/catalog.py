@@ -14,6 +14,8 @@ feature, its kind, the literal pattern to match, and the scopes searched:
 A list-valued pattern is a compound detector: every part must appear on
 the same line (this covers both Java-style ``Runtime.exec(`` and smali
 ``Ljava/lang/Runtime;->exec(`` surface forms with one definition).
+No pattern part may contain a line break (any ``str.splitlines``
+separator), since matching is line by line.
 File order defines feature index order. The shipped default catalog has
 131 standard permissions followed by 58 code-based properties; loading
 it in mode P/C/M keeps the permission subset, the code subset, or both,
@@ -24,10 +26,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
-from .corpus import Scope
+from .corpus import PAYLOAD_SCOPES, Scope
 from .errors import CatalogError
 
 MODES = ("P", "C", "M")
@@ -68,6 +73,38 @@ class FeatureDef:
         return f"android.permission.{self.pattern[0]}"
 
 
+class ContentDetector(NamedTuple):
+    """A content-kind feature as the detectors search for it."""
+
+    index: int
+    parts: tuple[str, ...]
+    scopes: frozenset[Scope]
+    needle: bytes | None            # the one part, when it is all ASCII
+    encoded: tuple[bytes, ...]      # every part as UTF-8 (native-lib byte search)
+
+
+@dataclass(frozen=True)
+class ScanPlan:
+    """What extraction needs from a catalog, derived once per catalog.
+
+    ``code`` holds the content detectors that search code files and
+    ``payload`` those that search assets, resources or native libraries
+    (one detector may be in both); all keep catalog order.
+    """
+
+    permissions: MappingProxyType      # android.permission.<NAME> -> feature indices
+    code: tuple[ContentDetector, ...]
+    payload: tuple[ContentDetector, ...]
+    suffixes: tuple[FeatureDef, ...]    # payload-extension features
+
+
+def _content_detector(d: FeatureDef) -> ContentDetector:
+    (first, *rest) = d.pattern
+    needle = first.encode("ascii") if not rest and first.isascii() else None
+    return ContentDetector(d.index, d.pattern, d.scopes, needle,
+                           tuple(p.encode("utf-8") for p in d.pattern))
+
+
 @dataclass(frozen=True)
 class FeatureCatalog:
     defs: tuple[FeatureDef, ...]
@@ -79,9 +116,23 @@ class FeatureCatalog:
     def __iter__(self):
         return iter(self.defs)
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.defs)
+
+    @cached_property
+    def plan(self) -> ScanPlan:
+        permissions: dict[str, tuple[int, ...]] = {}
+        for d in self.defs:
+            if d.kind == "permission":
+                permissions[d.permission_name] = permissions.get(d.permission_name, ()) + (d.index,)
+        content = [_content_detector(d) for d in self.defs if d.kind in CONTENT_KINDS]
+        return ScanPlan(
+            permissions=MappingProxyType(permissions),
+            code=tuple(c for c in content if Scope.CODE in c.scopes),
+            payload=tuple(c for c in content if not c.scopes.isdisjoint(PAYLOAD_SCOPES)),
+            suffixes=tuple(d for d in self.defs if d.kind == "payload-extension"),
+        )
 
     def by_name(self, name: str) -> FeatureDef:
         for d in self.defs:
@@ -112,8 +163,10 @@ def _parse_entry(raw: object, position: int, text: str) -> tuple[str, str, tuple
             f"catalog line {_line_of(text, str(name))}: unknown kind {kind!r} for feature {name!r}"
         )
     parts = tuple(pattern) if isinstance(pattern, list) else (str(pattern),)
-    if not parts or any(not p for p in parts):
+    if not parts or any(not isinstance(p, str) or not p for p in parts):
         raise CatalogError(f"feature {name!r}: pattern must be a non-empty string or list of strings")
+    if any(p.splitlines() != [p] for p in parts):
+        raise CatalogError(f"feature {name!r}: pattern must not contain a line break")
     try:
         scope_set = frozenset(_SCOPE_BY_NAME[s] for s in scopes)
     except KeyError as exc:

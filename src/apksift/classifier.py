@@ -47,6 +47,12 @@ class TrainedModel:
             raise ModelError("per-feature count arrays must match the feature list")
         if self.alpha < 0:
             raise ModelError("smoothing alpha must be nonnegative")
+        for label, counts, size in (("benign", self.pos_benign, self.n_benign),
+                                    ("suspicious", self.pos_suspicious, self.n_suspicious)):
+            bad = [n for n, c in zip(self.feature_names, counts) if not 0 <= c <= size]
+            if bad:
+                raise ModelError(
+                    f"{label} positive count of {bad[0]!r} is outside [0, {size}] (class size)")
 
     @property
     def priors(self) -> tuple[float, float]:

@@ -18,12 +18,16 @@ from __future__ import annotations
 
 import csv
 import enum
+import errno
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import CorpusError, ManifestMissing
 
 MANIFEST_NAME = "AndroidManifest.xml"
+
+_IGNORED_ERRNOS = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
 
 #: Default per-file read cap; larger files are skipped with a warning.
 DEFAULT_MAX_FILE_BYTES = 16 * 1024 * 1024
@@ -65,6 +69,17 @@ def scope_of(relative_path: str) -> Scope:
     }.get(head, Scope.OTHER)
 
 
+def _is_file(entry: os.DirEntry) -> bool:
+    # As Path.is_file: a missing, looping or dangling link target is not
+    # a file; any other stat error propagates.
+    try:
+        return entry.is_file()
+    except OSError as exc:
+        if exc.errno in _IGNORED_ERRNOS:
+            return False
+        raise
+
+
 def _sorted_paths(paths: list[str]) -> list[str]:
     # Byte-wise sort of the UTF-8 path, not locale or codepoint order.
     return sorted(paths, key=lambda p: p.encode("utf-8"))
@@ -79,12 +94,31 @@ class AppSample:
     directory: Path
 
     def member_files(self) -> list[tuple[str, Scope]]:
-        """All member files as (relative path, scope), byte-sorted by path."""
-        rels = [
-            p.relative_to(self.directory).as_posix()
-            for p in self.directory.rglob("*")
-            if p.is_file()
-        ]
+        """All member files as (relative path, scope), byte-sorted by path.
+
+        The walk keeps ``Path.rglob("*")`` rules: it descends only into
+        real directories (never through a link), lists every entry that
+        ``is_file()`` (so a link to a file counts), and silently skips a
+        directory it may not list or that is gone. An explicit stack
+        replaces recursion, so no tree is too deep to walk.
+        """
+        rels = []
+        stack = [(self.directory, "")]
+        while stack:
+            directory, prefix = stack.pop()
+            try:
+                with os.scandir(directory) as it:
+                    entries = list(it)
+            except OSError as exc:
+                if isinstance(exc, PermissionError) or exc.errno in _IGNORED_ERRNOS:
+                    continue
+                raise
+            for entry in entries:
+                rel = prefix + entry.name
+                if entry.is_dir(follow_symlinks=False):
+                    stack.append((entry.path, rel + "/"))
+                elif _is_file(entry):
+                    rels.append(rel)
         return [(rel, scope_of(rel)) for rel in _sorted_paths(rels)]
 
     def path_of(self, relative_path: str) -> Path:

@@ -17,6 +17,16 @@ Matching contracts, per feature kind:
 A feature is present (bit 1) as soon as one file in one of its scopes
 matches; repeated hits do not count again, and scanning for a feature
 stops at its first match.
+
+File text is the file's bytes decoded as UTF-8 with invalid sequences
+replaced. A single-part pattern that is all ASCII is searched for in the
+raw bytes instead, which gives the same answer: an ASCII byte never
+occurs inside a multi-byte UTF-8 sequence, and replacement turns only
+non-ASCII bytes into U+FFFD, never dropping, merging or producing an
+ASCII character. A file is decoded at most once, and only while a
+compound or non-ASCII pattern is still pending for it. The per-catalog
+derived data (permission names, ASCII needles, scope lists) is the
+catalog's ``plan``, built on first use.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import CONTENT_KINDS, FeatureCatalog
+from .catalog import ContentDetector, FeatureCatalog
 from .corpus import (
     DEFAULT_MAX_FILE_BYTES,
     AppSample,
@@ -137,7 +147,7 @@ def declared_permissions(manifest_text: str) -> tuple[set[str], list[str]]:
 
 
 def _matches_text(text: str, parts: tuple[str, ...]) -> bool:
-    # Patterns never contain newlines, so a single-part hit anywhere in
+    # Patterns never contain line breaks, so a single-part hit anywhere in
     # the text is already a single-line hit; compound patterns need a
     # per-line pass only after all parts are known to be present.
     if not all(p in text for p in parts):
@@ -147,8 +157,27 @@ def _matches_text(text: str, parts: tuple[str, ...]) -> bool:
     return any(all(p in line for p in parts) for line in text.splitlines())
 
 
-def _matches_bytes(data: bytes, parts: tuple[str, ...]) -> bool:
-    return all(p.encode("utf-8") in data for p in parts)
+def _matches_bytes(data: bytes, encoded: tuple[bytes, ...]) -> bool:
+    return all(p in data for p in encoded)
+
+
+def _text_hits(data: bytes, pending: list[ContentDetector]) -> list[ContentDetector]:
+    """The pending detectors whose pattern occurs in a text file's bytes.
+
+    The file is decoded at most once, and only when a detector without an
+    ASCII needle is reached.
+    """
+    hits, text = [], None
+    for d in pending:
+        if d.needle is not None:
+            hit = d.needle in data
+        else:
+            if text is None:
+                text = data.decode("utf-8", errors="replace")
+            hit = _matches_text(text, d.parts)
+        if hit:
+            hits.append(d)
+    return hits
 
 
 def _read_capped(path: Path, cap: int, rel: str, sample_id: str,
@@ -175,12 +204,12 @@ def extract_features(
     catalog never touches code or payload files.
     """
     start = time.perf_counter()
+    plan = catalog.plan
     warnings: list[str] = []
     scanned = {s.value: 0 for s in Scope}
-    bits = np.zeros(len(catalog), dtype=np.uint8)
+    bits = bytearray(len(catalog))
 
-    perm_defs = [d for d in catalog if d.kind == "permission"]
-    if perm_defs:
+    if plan.permissions:
         try:
             manifest = read_manifest(sample)
         except ManifestMissing:
@@ -189,11 +218,11 @@ def extract_features(
             scanned[Scope.MANIFEST.value] += 1
             declared, manifest_warnings = declared_permissions(manifest)
             warnings.extend(f"{sample.id}: {w}" for w in manifest_warnings)
-            for d in perm_defs:
-                if d.permission_name in declared:
-                    bits[d.index] = 1
+            for name in declared:
+                for i in plan.permissions.get(name, ()):
+                    bits[i] = 1
 
-    pending_code = [d for d in catalog if d.kind in CONTENT_KINDS and Scope.CODE in d.scopes]
+    pending_code = list(plan.code)
     if pending_code:
         for rel in enumerate_code_units(sample, warnings):
             if not pending_code:
@@ -202,25 +231,19 @@ def extract_features(
             if data is None:
                 continue
             scanned[Scope.CODE.value] += 1
-            text = data.decode("utf-8", errors="replace")
-            for d in pending_code[:]:
-                if _matches_text(text, d.pattern):
-                    bits[d.index] = 1
-                    pending_code.remove(d)
+            for d in _text_hits(data, pending_code):
+                bits[d.index] = 1
+                pending_code.remove(d)
 
-    payload_defs = [d for d in catalog if d.kind == "payload-extension"]
-    content_defs = [
-        d for d in catalog
-        if d.kind in CONTENT_KINDS and not bits[d.index]
-        and d.scopes & {Scope.ASSETS, Scope.RESOURCES, Scope.NATIVE_LIB}
-    ]
-    if payload_defs or content_defs:
+    suffixes = list(plan.suffixes)
+    pending = [d for d in plan.payload if not bits[d.index]]
+    if suffixes or pending:
         for rel, scope in enumerate_payload_files(sample):
-            for d in payload_defs[:]:
+            for d in suffixes[:]:
                 if scope in d.scopes and rel.endswith(d.pattern[0]):
                     bits[d.index] = 1
-                    payload_defs.remove(d)
-            pending_here = [d for d in content_defs if scope in d.scopes]
+                    suffixes.remove(d)
+            pending_here = [d for d in pending if scope in d.scopes]
             if not pending_here:
                 continue
             data = _read_capped(sample.path_of(rel), max_file_bytes, rel, sample.id, warnings)
@@ -228,19 +251,15 @@ def extract_features(
                 continue
             scanned[scope.value] += 1
             if scope is Scope.NATIVE_LIB:
-                for d in pending_here:
-                    if _matches_bytes(data, d.pattern):
-                        bits[d.index] = 1
-                        content_defs.remove(d)
+                hits = [d for d in pending_here if _matches_bytes(data, d.encoded)]
             else:
-                text = data.decode("utf-8", errors="replace")
-                for d in pending_here:
-                    if _matches_text(text, d.pattern):
-                        bits[d.index] = 1
-                        content_defs.remove(d)
+                hits = _text_hits(data, pending_here)
+            for d in hits:
+                bits[d.index] = 1
+                pending.remove(d)
 
     duration_ms = (time.perf_counter() - start) * 1000.0
-    vector = FeatureVector(sample.id, catalog.names, bits)
+    vector = FeatureVector(sample.id, catalog.names, np.frombuffer(bits, dtype=np.uint8))
     stats = SampleStats(sample.id, duration_ms, scanned, warnings)
     return vector, stats
 

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -123,3 +125,52 @@ def test_subset_catalog(catalog_m):
 def test_by_name_missing(catalog_m):
     with pytest.raises(CatalogError):
         catalog_m.by_name("NOT_A_FEATURE")
+
+
+@pytest.mark.parametrize("pattern", ["foo\nbar", "foo\r", "a\u2028b", ["Runtime", "exec(\x85"]])
+def test_line_break_in_pattern_fatal(pattern):
+    text = json.dumps([_entry("broken", kind="string-token", pattern=pattern)])
+    with pytest.raises(CatalogError, match="'broken'.*line break"):
+        parse_catalog(text)
+
+
+def test_non_string_pattern_part_fatal():
+    text = json.dumps([_entry("broken", kind="api-call", pattern=["Runtime", 7])])
+    with pytest.raises(CatalogError, match="'broken'"):
+        parse_catalog(text)
+
+
+def test_scan_plan_partitions_catalog(catalog_m):
+    plan = catalog_m.plan
+    assert plan is catalog_m.plan  # derived once per catalog
+    assert plan.permissions["android.permission.READ_SMS"] == (
+        catalog_m.by_name("READ_SMS").index,)
+    assert len(plan.permissions) == 131
+    code = {catalog_m.defs[d.index].name: d for d in plan.code}
+    assert code["chmod"].needle == b"chmod"
+    assert code["Runtime.exec"].needle is None  # compound: matched line by line
+    assert [d.index for d in plan.code] == sorted(d.index for d in plan.code)
+    assert {catalog_m.defs[d.index].name for d in plan.payload} >= {"chmod", "JNI_OnLoad"}
+    assert "getDeviceId" not in {catalog_m.defs[d.index].name for d in plan.payload}
+    assert [d.name for d in plan.suffixes] == [".apk", ".jar", ".so"]
+
+
+def test_scan_plan_non_ascii_and_shared_permission():
+    text = json.dumps([
+        _entry("SMS_A", pattern="READ_SMS"),
+        _entry("SMS_B", pattern="READ_SMS"),
+        _entry("key", kind="string-token", pattern="Schlüssel", scopes=["code", "native-lib"]),
+    ])
+    plan = parse_catalog(text).plan
+    assert plan.permissions == {"android.permission.READ_SMS": (0, 1)}
+    (key,) = plan.code
+    assert key.needle is None and key.encoded == ("Schlüssel".encode("utf-8"),)
+    assert plan.payload == (key,)
+
+
+def test_build_catalog_tool_reproduces_shipped_file():
+    spec = importlib.util.spec_from_file_location(
+        "build_catalog", Path(__file__).resolve().parents[1] / "tools" / "build_catalog.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.catalog_text() == builtin_catalog()

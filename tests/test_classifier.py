@@ -349,3 +349,24 @@ def test_missing_schema_version_fatal(tmp_path):
     path.write_text("{}")
     with pytest.raises(ModelError, match="schema_version"):
         load_model(path)
+
+
+@pytest.mark.parametrize("pos_ben, pos_sus", [((12,), (3,)), ((3,), (11,)), ((-1,), (3,))])
+def test_positive_count_outside_class_size_fatal(pos_ben, pos_sus):
+    with pytest.raises(ModelError, match="f0"):
+        TrainedModel(("f0",), 10, 10, pos_ben, pos_sus, 1.0)
+
+
+def test_positive_count_at_class_size_accepted():
+    TrainedModel(("f0", "f1"), 10, 10, (0, 10), (10, 0), 1.0)
+
+
+def test_hand_edited_model_count_fatal(tmp_path):
+    m = _matrix([[0], [1]], [ClassLabel.BENIGN, ClassLabel.SUSPICIOUS])
+    path = tmp_path / "model.json"
+    save_model(train(m, ["f0"], alpha=1.0), path)
+    payload = json.loads(path.read_text())
+    payload["features"][0]["count_pos_sus"] = 12
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match="outside"):
+        load_model(path)

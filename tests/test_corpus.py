@@ -1,4 +1,5 @@
 import builtins
+import os
 
 import pytest
 
@@ -156,6 +157,56 @@ def test_enumerate_payload_files_ordering(tmp_path):
         ("lib/libfoo.so", Scope.NATIVE_LIB),
         ("res/raw/x.jar", Scope.RESOURCES),
     ]
+
+
+# --- member walk ----------------------------------------------------------------
+
+def test_member_files_hidden_and_nested(tmp_path):
+    write_sample(tmp_path, "a", code={".hidden/H.smali": "", ".D.smali": "", "x/y/z/Z.smali": ""})
+    sample = load_corpus(tmp_path).samples[0]
+    assert [rel for rel, _ in sample.member_files()] == [
+        "smali/.D.smali", "smali/.hidden/H.smali", "smali/x/y/z/Z.smali",
+    ]
+
+
+def test_member_files_link_rules(tmp_path):
+    # Today's rules, those of Path.rglob("*"): a link to a file is listed
+    # (and so read), a link to a directory is not descended, and a link
+    # that loops is not a file.
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "secret.txt").write_text("chmod\n")
+    (outside / "Inner.smali").write_text("getDeviceId\n")
+    d = write_sample(tmp_path / "corpus", "a", code={"A.smali": ""})
+    os.symlink(outside / "secret.txt", d / "smali" / "Link.smali")
+    os.symlink(outside, d / "smali" / "linked")
+    os.symlink(d / "smali" / "loop", d / "smali" / "loop")
+    sample = load_corpus(tmp_path / "corpus").samples[0]
+    assert sample.member_files() == [
+        ("smali/A.smali", Scope.CODE),
+        ("smali/Link.smali", Scope.CODE),
+    ]
+
+
+def test_member_files_unlistable_directory_skipped(tmp_path, monkeypatch):
+    write_sample(tmp_path, "a", code={"A.smali": "", "deny/B.smali": "", "ok/C.smali": ""})
+    sample = load_corpus(tmp_path).samples[0]
+    real_scandir = os.scandir
+
+    def guarded(path):
+        if os.fspath(path).endswith("deny"):
+            raise PermissionError(13, "denied", os.fspath(path))
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", guarded)
+    assert [rel for rel, _ in sample.member_files()] == ["smali/A.smali", "smali/ok/C.smali"]
+
+
+def test_member_files_missing_directory_empty(tmp_path):
+    write_sample(tmp_path, "a", code={"A.smali": ""})
+    sample = load_corpus(tmp_path).samples[0]
+    os.rename(sample.directory, tmp_path / "gone")
+    assert sample.member_files() == []
 
 
 def test_scope_mapping():

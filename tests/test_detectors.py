@@ -1,6 +1,10 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
+from apksift import detectors
 from apksift.catalog import load_catalog, subset_catalog
 from apksift.corpus import load_corpus
 from apksift.detectors import (
@@ -239,8 +243,6 @@ def test_permission_only_faster_than_mixed(tmp_path, cat):
                      code={"A.smali": pad})
     corpus = load_corpus(tmp_path)
     cat_p = load_catalog("builtin", "P")
-    import time
-
     t0 = time.perf_counter()
     extract_corpus(corpus, cat_p)
     t_perm = time.perf_counter() - t0
@@ -248,6 +250,62 @@ def test_permission_only_faster_than_mixed(tmp_path, cat):
     extract_corpus(corpus, cat)
     t_mixed = time.perf_counter() - t0
     assert t_perm < t_mixed
+
+
+def test_deep_code_tree_extracts(tmp_path, cat):
+    # 1,100 nested directories: deeper than the default recursion limit.
+    # Built with os.mkdir in a loop, since os.makedirs itself recurses.
+    d = write_sample(tmp_path, "a", code={"A.smali": ""})
+    chain = [d / "smali"]
+    for _ in range(1100):
+        chain.append(chain[-1] / "d")
+        os.mkdir(chain[-1])
+    deep = chain[-1] / "Deep.smali"
+    deep.write_text("invoke-virtual {v0}, getDeviceId\n", encoding="utf-8")
+    try:
+        vector, stats = extract_features(load_corpus(tmp_path).samples[0], cat)
+        assert _bit(vector, "getDeviceId") == 1
+        assert stats.files_scanned["code"] == 2
+    finally:
+        # Remove the chain bottom-up: shutil.rmtree recurses and would
+        # fail on it when pytest cleans its temporary directories.
+        deep.unlink()
+        for path in reversed(chain[1:]):
+            os.rmdir(path)
+
+
+def test_links_under_code_scope(tmp_path, cat):
+    # A file link is read; a directory link is not descended.
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "secret.txt").write_text('const-string v0, "chmod"\n', encoding="utf-8")
+    (outside / "Inner.smali").write_text("getDeviceId\n", encoding="utf-8")
+    d = write_sample(tmp_path / "corpus", "a", code={"A.smali": ""})
+    os.symlink(outside / "secret.txt", d / "smali" / "Link.smali")
+    os.symlink(outside, d / "smali" / "linked")
+    vector, _ = extract_features(load_corpus(tmp_path / "corpus").samples[0], cat)
+    assert _bit(vector, "chmod") == 1
+    assert _bit(vector, "getDeviceId") == 0
+
+
+def test_extract_corpus_calls_extract_features_per_sample(tmp_path, cat, monkeypatch):
+    # Per-sample timing wraps detectors.extract_features from outside, so
+    # extract_corpus must call it through the module attribute, once per
+    # sample, and return its bits as a numpy array.
+    for i in range(3):
+        write_sample(tmp_path, f"s{i}", manifest=manifest_with("READ_SMS"))
+    calls = []
+    real = detectors.extract_features
+
+    def counting(sample, *args, **kwargs):
+        calls.append(sample.id)
+        return real(sample, *args, **kwargs)
+
+    monkeypatch.setattr(detectors, "extract_features", counting)
+    matrix, _ = extract_corpus(load_corpus(tmp_path), cat)
+    assert calls == ["s0", "s1", "s2"]
+    assert isinstance(matrix.bits, np.ndarray) and matrix.bits.dtype == np.uint8
+    assert int(matrix.bits.sum()) == 3
 
 
 # --- matrix CSV ----------------------------------------------------------------

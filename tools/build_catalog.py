@@ -1,5 +1,7 @@
 """Regenerate src/apksift/data/builtin_catalog.json.
 
+Run from anywhere: ``python3 tools/build_catalog.py``.
+
 Permissions are the 131 standard android.permission names of the
 platform era, alphabetically. Code-based properties list the 25
 documented high-signal entries first, then the remaining 33 drawn from
@@ -129,7 +131,11 @@ CODE_PROPERTIES = [
 ]
 
 
-def main() -> None:
+OUT = Path(__file__).resolve().parents[1] / "src" / "apksift" / "data" / "builtin_catalog.json"
+
+
+def catalog_text() -> str:
+    """The canonical JSON text of the default catalog."""
     assert len(PERMISSIONS) == 131, f"need 131 permissions, have {len(PERMISSIONS)}"
     assert len(CODE_PROPERTIES) == 58, f"need 58 code properties, have {len(CODE_PROPERTIES)}"
     defs = []
@@ -148,9 +154,12 @@ def main() -> None:
     parsed = parse_catalog(text, "M")  # self-check: loads cleanly
     assert len(parsed) == 189
     assert serialize_catalog(parsed) == text, "round-trip drift"
-    out = Path(__file__).resolve().parents[1] / "src" / "apksift" / "data" / "builtin_catalog.json"
-    out.write_text(text, encoding="utf-8")
-    print(f"wrote {out} ({len(parsed)} defs)")
+    return text
+
+
+def main() -> None:
+    OUT.write_text(catalog_text(), encoding="utf-8")
+    print(f"wrote {OUT}")
 
 
 if __name__ == "__main__":
