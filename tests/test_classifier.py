@@ -357,10 +357,6 @@ def test_positive_count_outside_class_size_fatal(pos_ben, pos_sus):
         TrainedModel(("f0",), 10, 10, pos_ben, pos_sus, 1.0)
 
 
-def test_positive_count_at_class_size_accepted():
-    TrainedModel(("f0", "f1"), 10, 10, (0, 10), (10, 0), 1.0)
-
-
 def test_hand_edited_model_count_fatal(tmp_path):
     m = _matrix([[0], [1]], [ClassLabel.BENIGN, ClassLabel.SUSPICIOUS])
     path = tmp_path / "model.json"

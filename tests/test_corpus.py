@@ -161,33 +161,6 @@ def test_enumerate_payload_files_ordering(tmp_path):
 
 # --- member walk ----------------------------------------------------------------
 
-def test_member_files_hidden_and_nested(tmp_path):
-    write_sample(tmp_path, "a", code={".hidden/H.smali": "", ".D.smali": "", "x/y/z/Z.smali": ""})
-    sample = load_corpus(tmp_path).samples[0]
-    assert [rel for rel, _ in sample.member_files()] == [
-        "smali/.D.smali", "smali/.hidden/H.smali", "smali/x/y/z/Z.smali",
-    ]
-
-
-def test_member_files_link_rules(tmp_path):
-    # Today's rules, those of Path.rglob("*"): a link to a file is listed
-    # (and so read), a link to a directory is not descended, and a link
-    # that loops is not a file.
-    outside = tmp_path / "outside"
-    outside.mkdir()
-    (outside / "secret.txt").write_text("chmod\n")
-    (outside / "Inner.smali").write_text("getDeviceId\n")
-    d = write_sample(tmp_path / "corpus", "a", code={"A.smali": ""})
-    os.symlink(outside / "secret.txt", d / "smali" / "Link.smali")
-    os.symlink(outside, d / "smali" / "linked")
-    os.symlink(d / "smali" / "loop", d / "smali" / "loop")
-    sample = load_corpus(tmp_path / "corpus").samples[0]
-    assert sample.member_files() == [
-        ("smali/A.smali", Scope.CODE),
-        ("smali/Link.smali", Scope.CODE),
-    ]
-
-
 def test_member_files_unlistable_directory_skipped(tmp_path, monkeypatch):
     write_sample(tmp_path, "a", code={"A.smali": "", "deny/B.smali": "", "ok/C.smali": ""})
     sample = load_corpus(tmp_path).samples[0]

@@ -1,5 +1,4 @@
 import os
-import time
 
 import numpy as np
 import pytest
@@ -243,6 +242,8 @@ def test_permission_only_faster_than_mixed(tmp_path, cat):
                      code={"A.smali": pad})
     corpus = load_corpus(tmp_path)
     cat_p = load_catalog("builtin", "P")
+    import time
+
     t0 = time.perf_counter()
     extract_corpus(corpus, cat_p)
     t_perm = time.perf_counter() - t0
@@ -275,7 +276,8 @@ def test_deep_code_tree_extracts(tmp_path, cat):
 
 
 def test_links_under_code_scope(tmp_path, cat):
-    # A file link is read; a directory link is not descended.
+    # The rules of Path.rglob("*"): a link to a file is listed and read, a
+    # link to a directory is not descended, and a looping link is no file.
     outside = tmp_path / "outside"
     outside.mkdir()
     (outside / "secret.txt").write_text('const-string v0, "chmod"\n', encoding="utf-8")
@@ -283,9 +285,11 @@ def test_links_under_code_scope(tmp_path, cat):
     d = write_sample(tmp_path / "corpus", "a", code={"A.smali": ""})
     os.symlink(outside / "secret.txt", d / "smali" / "Link.smali")
     os.symlink(outside, d / "smali" / "linked")
-    vector, _ = extract_features(load_corpus(tmp_path / "corpus").samples[0], cat)
+    os.symlink(d / "smali" / "loop", d / "smali" / "loop")
+    vector, stats = extract_features(load_corpus(tmp_path / "corpus").samples[0], cat)
     assert _bit(vector, "chmod") == 1
     assert _bit(vector, "getDeviceId") == 0
+    assert stats.files_scanned["code"] == 2
 
 
 def test_extract_corpus_calls_extract_features_per_sample(tmp_path, cat, monkeypatch):
