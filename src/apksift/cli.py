@@ -203,7 +203,7 @@ def _cmd_classify(args) -> int:
     cat = catalog_mod.load_catalog(args.catalog, mode)
     corpus = load_corpus(args.corpus, args.labels)
     matrix, _ = detectors.extract_corpus(corpus, cat)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with open(args.out, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["app_id", "posterior", "score", "decision"])
         for pred in classifier_mod.classify_matrix(model, matrix, threshold=args.threshold):

@@ -9,17 +9,21 @@ On-disk contract (one directory per app under the corpus root):
     <root>/<app-id>/lib/**                native libraries
 
 Labels come from a sidecar CSV (``app_id,label`` header, label one of
-``benign``/``suspicious``); directories absent from the CSV load as
-unlabeled samples. All iteration orders are byte-wise path sorts so
-results never depend on platform directory-listing order.
+``benign``/``suspicious``, an optional UTF-8 BOM); directories absent
+from the CSV load as unlabeled samples. All iteration orders are sorts by
+the raw bytes of the path, so results never depend on platform
+directory-listing order, and names need not be valid UTF-8. Every tree is
+hostile: one walk that never follows a link lists a sample's files,
+skipping links, FIFOs, sockets and devices with a warning, and one capped
+reader reads them, the manifest included.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-import errno
 import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,10 +31,11 @@ from .errors import CorpusError, ManifestMissing
 
 MANIFEST_NAME = "AndroidManifest.xml"
 
-_IGNORED_ERRNOS = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
-
 #: Default per-file read cap; larger files are skipped with a warning.
 DEFAULT_MAX_FILE_BYTES = 16 * 1024 * 1024
+
+# A final link fails the open (ELOOP) and a FIFO opens without a writer.
+_OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_NONBLOCK", 0)
 
 
 class ClassLabel(enum.Enum):
@@ -69,20 +74,25 @@ def scope_of(relative_path: str) -> Scope:
     }.get(head, Scope.OTHER)
 
 
-def _is_file(entry: os.DirEntry) -> bool:
-    # As Path.is_file: a missing, looping or dangling link target is not
-    # a file; any other stat error propagates.
+def _path_key(path: str) -> bytes:
+    return path.encode("utf-8", "surrogateescape")
+
+
+def _read_capped(path: Path, cap: int) -> bytes | None:
+    """Bytes of the regular file (never a final link) at ``path``; None above ``cap``."""
+    fd = os.open(path, _OPEN_FLAGS)
     try:
-        return entry.is_file()
-    except OSError as exc:
-        if exc.errno in _IGNORED_ERRNOS:
-            return False
-        raise
-
-
-def _sorted_paths(paths: list[str]) -> list[str]:
-    # Byte-wise sort of the UTF-8 path, not locale or codepoint order.
-    return sorted(paths, key=lambda p: p.encode("utf-8"))
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            raise OSError("not a regular file")
+        if info.st_size > cap:
+            return None
+        data = os.read(fd, info.st_size + 1)
+    finally:
+        os.close(fd)
+    if len(data) != info.st_size:
+        raise OSError("size changed during read")
+    return data
 
 
 @dataclass(frozen=True)
@@ -93,36 +103,35 @@ class AppSample:
     label: ClassLabel | None
     directory: Path
 
-    def member_files(self) -> list[tuple[str, Scope]]:
-        """All member files as (relative path, scope), byte-sorted by path.
+    def member_files(self, tops: tuple[str, ...],
+                     warnings: list[str] | None = None) -> list[tuple[str, Scope]]:
+        """Byte-sorted (relative path, scope) of the regular files under ``tops``.
 
-        The walk keeps ``Path.rglob("*")`` rules: it descends only into
-        real directories (never through a link), lists every entry that
-        ``is_file()`` (so a link to a file counts), and silently skips a
-        directory it may not list or that is gone. An explicit stack
-        replaces recursion, so no tree is too deep to walk.
+        Descends only into real directories. Any other entry, and any
+        directory it cannot list, is skipped with a warning, sorted by path.
         """
-        rels = []
+        rels, skipped = [], []
         stack = [(self.directory, "")]
         while stack:
             directory, prefix = stack.pop()
             try:
                 with os.scandir(directory) as it:
-                    entries = list(it)
+                    entries = [e for e in it if prefix or e.name in tops]
             except OSError as exc:
-                if isinstance(exc, PermissionError) or exc.errno in _IGNORED_ERRNOS:
-                    continue
-                raise
+                skipped.append((prefix.rstrip("/") or ".", f"cannot list: {exc}"))
+                continue
             for entry in entries:
                 rel = prefix + entry.name
                 if entry.is_dir(follow_symlinks=False):
                     stack.append((entry.path, rel + "/"))
-                elif _is_file(entry):
+                elif entry.is_file(follow_symlinks=False):
                     rels.append(rel)
-        return [(rel, scope_of(rel)) for rel in _sorted_paths(rels)]
-
-    def path_of(self, relative_path: str) -> Path:
-        return self.directory / relative_path
+                else:
+                    skipped.append((rel, "link" if entry.is_symlink() else "not a regular file"))
+        if warnings is not None:
+            skipped.sort(key=lambda item: _path_key(item[0]))
+            warnings.extend(f"{self.id}: skipped {rel} ({why})" for rel, why in skipped)
+        return [(rel, scope_of(rel)) for rel in sorted(rels, key=_path_key)]
 
 
 @dataclass(frozen=True)
@@ -137,14 +146,11 @@ class Corpus:
     def __iter__(self):
         return iter(self.samples)
 
-    def labeled(self) -> list[AppSample]:
-        return [s for s in self.samples if s.label is not None]
-
 
 def _read_labels(labels_path: Path) -> dict[str, ClassLabel]:
     try:
-        text = labels_path.read_text(encoding="utf-8")
-    except OSError as exc:
+        text = labels_path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read labels file {labels_path}: {exc}") from exc
     reader = csv.reader(text.splitlines())
     rows = list(reader)
@@ -187,7 +193,7 @@ def load_corpus(root: Path | str, labels: Path | str | None = None) -> Corpus:
         raise CorpusError(f"corpus root {root} does not exist or is not a directory")
     label_map = _read_labels(Path(labels)) if labels is not None else {}
 
-    dir_ids = _sorted_paths([p.name for p in root.iterdir() if p.is_dir()])
+    dir_ids = sorted((p.name for p in root.iterdir() if p.is_dir()), key=_path_key)
     present = set(dir_ids)
     missing = [app_id for app_id in label_map if app_id not in present]
     if missing:
@@ -207,40 +213,29 @@ def load_corpus(root: Path | str, labels: Path | str | None = None) -> Corpus:
     return Corpus(samples=samples, root=root, label_counts=counts)
 
 
-def read_manifest(sample: AppSample) -> str:
+def read_manifest(sample: AppSample, max_file_bytes: int = DEFAULT_MAX_FILE_BYTES) -> str:
     """Return the decoded manifest text verbatim.
 
-    Raises ManifestMissing when absent; callers decide whether that is
-    fatal (permission analysis degrades gracefully, per the detectors).
+    Raises ManifestMissing when absent and CorpusError when the capped reader
+    refuses it (a link, a special file or over ``max_file_bytes``).
     """
-    path = sample.path_of(MANIFEST_NAME)
-    if not path.is_file():
-        raise ManifestMissing(sample.id)
-    return path.read_text(encoding="utf-8", errors="replace")
+    try:
+        data = _read_capped(sample.directory / MANIFEST_NAME, max_file_bytes)
+    except FileNotFoundError:
+        raise ManifestMissing(sample.id) from None
+    except OSError as exc:
+        raise CorpusError(f"manifest unreadable ({exc})") from exc
+    if data is None:
+        raise CorpusError(f"manifest exceeds {max_file_bytes} byte cap")
+    return data.decode("utf-8", errors="replace")
 
 
 def enumerate_code_units(sample: AppSample, warnings: list[str] | None = None) -> list[str]:
-    """Relative paths of all code-scope files, byte-sorted.
-
-    Files that cannot be opened are skipped with a recorded warning
-    rather than failing the sample.
-    """
-    paths = []
-    for rel, scope in sample.member_files():
-        if scope is not Scope.CODE:
-            continue
-        full = sample.path_of(rel)
-        try:
-            with open(full, "rb"):
-                pass
-        except OSError as exc:
-            if warnings is not None:
-                warnings.append(f"{sample.id}: unreadable code unit {rel}: {exc}")
-            continue
-        paths.append(rel)
-    return paths
+    """Relative paths of all code-scope files, byte-sorted; skips are warned."""
+    return [rel for rel, _ in sample.member_files(("smali",), warnings)]
 
 
-def enumerate_payload_files(sample: AppSample) -> list[tuple[str, Scope]]:
+def enumerate_payload_files(sample: AppSample,
+                            warnings: list[str] | None = None) -> list[tuple[str, Scope]]:
     """(relative path, scope) for assets/resources/native-lib files, byte-sorted."""
-    return [(rel, scope) for rel, scope in sample.member_files() if scope in PAYLOAD_SCOPES]
+    return sample.member_files(("assets", "lib", "res"), warnings)

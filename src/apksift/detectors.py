@@ -27,6 +27,9 @@ ASCII character. A file is decoded at most once, and only while a
 compound or non-ASCII pattern is still pending for it. The per-catalog
 derived data (permission names, ASCII needles, scope lists) is the
 catalog's ``plan``, built on first use.
+
+Files come from the corpus walk and capped reader: each link, special file
+or file over ``max_file_bytes`` (the manifest too) is skipped with a warning.
 """
 
 from __future__ import annotations
@@ -46,13 +49,13 @@ from .corpus import (
     AppSample,
     ClassLabel,
     Corpus,
-    ManifestMissing,
     Scope,
+    _read_capped,
     enumerate_code_units,
     enumerate_payload_files,
     read_manifest,
 )
-from .errors import CorpusError
+from .errors import CorpusError, ManifestMissing
 
 _ANDROID_NS = "http://schemas.android.com/apk/res/android"
 _NAME_ATTR_RE = re.compile(r'android:name\s*=\s*"([^"]*)"')
@@ -180,16 +183,15 @@ def _text_hits(data: bytes, pending: list[ContentDetector]) -> list[ContentDetec
     return hits
 
 
-def _read_capped(path: Path, cap: int, rel: str, sample_id: str,
-                 warnings: list[str]) -> bytes | None:
+def _read_member(sample: AppSample, rel: str, cap: int, warnings: list[str]) -> bytes | None:
     try:
-        if path.stat().st_size > cap:
-            warnings.append(f"{sample_id}: skipped {rel} (exceeds {cap} byte cap)")
-            return None
-        return path.read_bytes()
+        data = _read_capped(sample.directory / rel, cap)
     except OSError as exc:
-        warnings.append(f"{sample_id}: unreadable file {rel}: {exc}")
+        warnings.append(f"{sample.id}: unreadable file {rel}: {exc}")
         return None
+    if data is None:
+        warnings.append(f"{sample.id}: skipped {rel} (exceeds {cap} byte cap)")
+    return data
 
 
 def extract_features(
@@ -211,9 +213,11 @@ def extract_features(
 
     if plan.permissions:
         try:
-            manifest = read_manifest(sample)
+            manifest = read_manifest(sample, max_file_bytes)
         except ManifestMissing:
             warnings.append(f"{sample.id}: manifest missing; permission features zeroed")
+        except CorpusError as exc:
+            warnings.append(f"{sample.id}: {exc}; permission features zeroed")
         else:
             scanned[Scope.MANIFEST.value] += 1
             declared, manifest_warnings = declared_permissions(manifest)
@@ -227,7 +231,7 @@ def extract_features(
         for rel in enumerate_code_units(sample, warnings):
             if not pending_code:
                 break
-            data = _read_capped(sample.path_of(rel), max_file_bytes, rel, sample.id, warnings)
+            data = _read_member(sample, rel, max_file_bytes, warnings)
             if data is None:
                 continue
             scanned[Scope.CODE.value] += 1
@@ -238,7 +242,7 @@ def extract_features(
     suffixes = list(plan.suffixes)
     pending = [d for d in plan.payload if not bits[d.index]]
     if suffixes or pending:
-        for rel, scope in enumerate_payload_files(sample):
+        for rel, scope in enumerate_payload_files(sample, warnings):
             for d in suffixes[:]:
                 if scope in d.scopes and rel.endswith(d.pattern[0]):
                     bits[d.index] = 1
@@ -246,7 +250,7 @@ def extract_features(
             pending_here = [d for d in pending if scope in d.scopes]
             if not pending_here:
                 continue
-            data = _read_capped(sample.path_of(rel), max_file_bytes, rel, sample.id, warnings)
+            data = _read_member(sample, rel, max_file_bytes, warnings)
             if data is None:
                 continue
             scanned[scope.value] += 1
@@ -292,7 +296,7 @@ def extract_corpus(
 
 def write_matrix_csv(matrix: FeatureMatrix, path: Path | str) -> None:
     """Vector matrix file: header ``app_id,label,<feature names>``, LF endings."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["app_id", "label", *matrix.feature_names])
         for i, app_id in enumerate(matrix.ids):
@@ -301,7 +305,7 @@ def write_matrix_csv(matrix: FeatureMatrix, path: Path | str) -> None:
 
 
 def write_stats_csv(stats: ExtractionStats, path: Path | str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["app_id", "duration_ms", "files_scanned", "warnings"])
         for s in stats.per_sample:

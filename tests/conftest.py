@@ -26,6 +26,19 @@ def write_sample(root: Path, app_id: str, manifest: str | None = None,
     return d
 
 
+class Listing:
+    """A directory listing in a chosen order, usable as ``os.scandir``'s result."""
+
+    def __init__(self, entries):
+        self.entries = entries
+
+    def __enter__(self):
+        return iter(self.entries)
+
+    def __exit__(self, *exc):
+        return False
+
+
 def write_labels(root: Path, rows: list[tuple[str, str]], name: str = "labels.csv") -> Path:
     path = root / name
     lines = ["app_id,label"] + [f"{a},{b}" for a, b in rows]

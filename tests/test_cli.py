@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -186,3 +187,41 @@ def test_unlabeled_samples_noted_and_ignored(tmp_path, capsys):
     assert main(["rank", "--corpus", str(root), "--labels", str(labels),
                  "--out", str(tmp_path / "rank.csv")]) == 0
     assert "ignoring 1 unlabeled" in capsys.readouterr().err
+
+
+# --- hostile trees ---------------------------------------------------------------
+
+def test_extract_manifest_link_to_proc_mem(tmp_path, capsys):
+    # Read through the link, /proc/self/mem fails with EIO; it is never followed.
+    root = tmp_path / "corpus"
+    d = write_sample(root, "a", code={"A.smali": '    const-string v0, "chmod"\n'})
+    os.symlink("/proc/self/mem", d / "AndroidManifest.xml")
+    write_sample(root, "b", manifest=manifest_with("READ_SMS"))
+    out = tmp_path / "matrix.csv"
+    assert main(["extract", "--corpus", str(root), "--mode", "M", "--out", str(out)]) == 0
+    assert "warning: a: manifest unreadable (" in capsys.readouterr().err
+    header, row_a, row_b = (line.split(",") for line in out.read_text().splitlines())
+    a, b = dict(zip(header, row_a)), dict(zip(header, row_b))
+    assert (a["chmod"], a["READ_SMS"], b["READ_SMS"]) == ("1", "0", "1")
+
+
+def test_extract_and_classify_non_utf8_names(tmp_path, small_corpus):
+    root, labels = small_corpus
+    model = tmp_path / "model.json"
+    assert main(["train", "--corpus", str(root), "--labels", str(labels),
+                 "--top", "1", "--out", str(model)]) == 0
+    hostile = os.fsencode(tmp_path / "hostile")
+    for app in (b"\xff", b"ok"):
+        smali = os.path.join(hostile, app, b"smali")
+        os.makedirs(smali)
+        with open(os.path.join(smali, b"\xff.smali"), "wb") as fh:
+            fh.write(b'    const-string v0, "chmod"\n')
+    matrix, preds = tmp_path / "matrix.csv", tmp_path / "preds.csv"
+    assert main(["extract", "--corpus", os.fsdecode(hostile), "--out", str(matrix)]) == 0
+    rows = [line.split(b",") for line in matrix.read_bytes().splitlines()]
+    chmod = rows[0].index(b"chmod")
+    assert [(r[0], r[chmod]) for r in rows[1:]] == [(b"ok", b"1"), (b"\xff", b"1")]
+    assert main(["classify", "--corpus", os.fsdecode(hostile), "--model", str(model),
+                 "--out", str(preds)]) == 0
+    rows = [line.split(b",") for line in preds.read_bytes().splitlines()]
+    assert [(r[0], r[3]) for r in rows[1:]] == [(b"ok", b"suspicious"), (b"\xff", b"suspicious")]

@@ -1,4 +1,3 @@
-import builtins
 import os
 
 import pytest
@@ -53,6 +52,21 @@ def test_load_corpus_bad_label_value(tmp_path):
     write_sample(tmp_path, "a", manifest=manifest_with())
     labels = write_labels(tmp_path, [("a", "malicious")])
     with pytest.raises(CorpusError, match="malicious"):
+        load_corpus(tmp_path, labels)
+
+
+def test_labels_with_byte_order_mark(tmp_path):
+    write_sample(tmp_path, "a", manifest=manifest_with())
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(b"\xef\xbb\xbfapp_id,label\na,suspicious\n")
+    corpus = load_corpus(tmp_path, labels)
+    assert corpus.samples[0].label is ClassLabel.SUSPICIOUS
+
+
+def test_labels_not_utf8_is_corpus_error(tmp_path):
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(b"app_id,label\n\xff,benign\n")
+    with pytest.raises(CorpusError, match="cannot read labels file"):
         load_corpus(tmp_path, labels)
 
 
@@ -119,23 +133,6 @@ def test_enumerate_code_units_empty(tmp_path):
     assert enumerate_code_units(corpus.samples[0]) == []
 
 
-def test_enumerate_code_units_unreadable_skipped(tmp_path, monkeypatch):
-    write_sample(tmp_path, "a", code={"A.smali": "", "B.smali": "", "C.smali": ""})
-    corpus = load_corpus(tmp_path)
-    real_open = builtins.open
-
-    def flaky_open(path, *args, **kwargs):
-        if str(path).endswith("B.smali"):
-            raise PermissionError("denied")
-        return real_open(path, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "open", flaky_open)
-    warnings = []
-    units = enumerate_code_units(corpus.samples[0], warnings)
-    assert units == ["smali/A.smali", "smali/C.smali"]
-    assert len(warnings) == 1 and "B.smali" in warnings[0]
-
-
 def test_enumerate_payload_files(tmp_path):
     write_sample(tmp_path, "a", payloads=["assets/payload.apk"])
     corpus = load_corpus(tmp_path)
@@ -172,14 +169,15 @@ def test_member_files_unlistable_directory_skipped(tmp_path, monkeypatch):
         return real_scandir(path)
 
     monkeypatch.setattr(os, "scandir", guarded)
-    assert [rel for rel, _ in sample.member_files()] == ["smali/A.smali", "smali/ok/C.smali"]
+    assert [rel for rel, _ in sample.member_files(("smali",))] == [
+        "smali/A.smali", "smali/ok/C.smali"]
 
 
 def test_member_files_missing_directory_empty(tmp_path):
     write_sample(tmp_path, "a", code={"A.smali": ""})
     sample = load_corpus(tmp_path).samples[0]
     os.rename(sample.directory, tmp_path / "gone")
-    assert sample.member_files() == []
+    assert sample.member_files(("smali",)) == []
 
 
 def test_scope_mapping():

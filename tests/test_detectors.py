@@ -13,7 +13,7 @@ from apksift.detectors import (
     write_stats_csv,
 )
 
-from conftest import manifest_with, write_labels, write_sample
+from conftest import Listing, manifest_with, write_labels, write_sample
 
 
 @pytest.fixture(scope="module")
@@ -276,20 +276,47 @@ def test_deep_code_tree_extracts(tmp_path, cat):
 
 
 def test_links_under_code_scope(tmp_path, cat):
-    # The rules of Path.rglob("*"): a link to a file is listed and read, a
-    # link to a directory is not descended, and a looping link is no file.
+    # No link is followed and no special file is opened: a file link, a
+    # directory link, a looping link and a FIFO each give one warning, in
+    # path order, and are never read.
     outside = tmp_path / "outside"
     outside.mkdir()
     (outside / "secret.txt").write_text('const-string v0, "chmod"\n', encoding="utf-8")
     (outside / "Inner.smali").write_text("getDeviceId\n", encoding="utf-8")
-    d = write_sample(tmp_path / "corpus", "a", code={"A.smali": ""})
+    d = write_sample(tmp_path / "corpus", "a", manifest=manifest_with(), code={"A.smali": ""})
     os.symlink(outside / "secret.txt", d / "smali" / "Link.smali")
     os.symlink(outside, d / "smali" / "linked")
     os.symlink(d / "smali" / "loop", d / "smali" / "loop")
+    os.mkfifo(d / "smali" / "pipe.smali")
     vector, stats = extract_features(load_corpus(tmp_path / "corpus").samples[0], cat)
-    assert _bit(vector, "chmod") == 1
+    assert _bit(vector, "chmod") == 0
     assert _bit(vector, "getDeviceId") == 0
+    assert stats.files_scanned["code"] == 1
+    assert stats.warnings == [
+        "a: skipped smali/Link.smali (link)",
+        "a: skipped smali/linked (link)",
+        "a: skipped smali/loop (link)",
+        "a: skipped smali/pipe.smali (not a regular file)",
+    ]
+
+
+def test_unreadable_code_unit_skipped(tmp_path, cat, monkeypatch):
+    write_sample(tmp_path, "a", manifest=manifest_with(), code={
+        "A.smali": "chmod\n", "B.smali": "getDeviceId\n", "C.smali": "remount\n"})
+    sample = load_corpus(tmp_path).samples[0]
+    real_open = os.open
+
+    def flaky_open(path, *args, **kwargs):
+        if os.fspath(path).endswith("B.smali"):
+            raise PermissionError(13, "denied", os.fspath(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", flaky_open)
+    vector, stats = extract_features(sample, cat)
+    assert (_bit(vector, "chmod"), _bit(vector, "getDeviceId"), _bit(vector, "remount")) == (1, 0, 1)
     assert stats.files_scanned["code"] == 2
+    assert len(stats.warnings) == 1
+    assert stats.warnings[0].startswith("a: unreadable file smali/B.smali: ")
 
 
 def test_extract_corpus_calls_extract_features_per_sample(tmp_path, cat, monkeypatch):
@@ -332,3 +359,46 @@ def test_matrix_csv_roundtrip(tmp_path, cat):
     stats_out = tmp_path / "stats.csv"
     write_stats_csv(stats, stats_out)
     assert stats_out.read_text().splitlines()[0] == "app_id,duration_ms,files_scanned,warnings"
+
+
+# --- hostile trees ---------------------------------------------------------------
+
+def test_manifest_over_cap_skipped(tmp_path, cat):
+    write_sample(tmp_path, "a", manifest=manifest_with("READ_SMS"), code={"A.smali": "chmod\n"})
+    vector, stats = extract_features(load_corpus(tmp_path).samples[0], cat, max_file_bytes=64)
+    assert _bit(vector, "READ_SMS") == 0
+    assert _bit(vector, "chmod") == 1
+    assert stats.files_scanned["manifest"] == 0
+    assert stats.warnings == ["a: manifest exceeds 64 byte cap; permission features zeroed"]
+
+
+def test_listing_order_does_not_matter(tmp_path, cat, monkeypatch):
+    d = write_sample(tmp_path, "a", manifest=manifest_with("READ_SMS"), code={
+        "z/A.smali": "chmod\n", "a/B.smali": "chmod getDeviceId\n", ".h/C.smali": "remount\n",
+        "m/D.smali": "Runtime exec(\n"})
+    (d / "assets").mkdir()
+    (d / "assets" / "x.txt").write_bytes(b"su -c\n")
+    (d / "lib").mkdir()
+    (d / "lib" / "libz.so").write_bytes(b"\x00JNI_OnLoad\x00")
+    for rel in ("smali/z/L1.smali", "smali/a/L2.smali", "assets/L3.apk"):
+        os.symlink(d / "smali" / "z" / "A.smali", d / rel)
+    os.mkfifo(d / "smali" / "m" / "pipe")
+    sample = load_corpus(tmp_path).samples[0]
+    forward_vector, forward = extract_features(sample, cat)
+    real_scandir = os.scandir
+
+    def reversed_scandir(path):
+        with real_scandir(path) as it:
+            return Listing(list(it)[::-1])
+
+    monkeypatch.setattr(os, "scandir", reversed_scandir)
+    backward_vector, backward = extract_features(sample, cat)
+    assert np.array_equal(forward_vector.bits, backward_vector.bits)
+    assert forward.files_scanned == backward.files_scanned
+    assert forward.warnings == backward.warnings == [
+        "a: skipped smali/a/L2.smali (link)",
+        "a: skipped smali/m/pipe (not a regular file)",
+        "a: skipped smali/z/L1.smali (link)",
+        "a: skipped assets/L3.apk (link)",
+    ]
+    assert _bit(forward_vector, ".apk") == 0

@@ -1,0 +1,153 @@
+"""Property test: extraction over generated hostile sample trees.
+
+Trees mix nested and hidden directories, names that are not valid UTF-8,
+file and directory links inside and outside the sample, looping and
+dangling links, top-level directories that are links, FIFOs and files
+over the read cap. For every tree,
+extraction must not raise, must open and list only paths under the
+sample root that reach no link on the way (a link as the final
+component of an open is refused by O_NOFOLLOW), and must give the same bits,
+warnings and file counts whatever order directories list in.
+"""
+
+import os
+import shutil
+import tempfile
+from unittest import mock
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from apksift.catalog import load_catalog
+from apksift.corpus import load_corpus
+from apksift.detectors import extract_features
+
+from conftest import Listing, manifest_with
+
+CAP = 512
+CATALOG = load_catalog("builtin", "M")
+
+TOPS = [b"smali", b"assets", b"lib", b"res", b"other"]
+DIRS = [b"d", b".hid", b"\xff\xfe", b"n\xc3\xa9"]
+LEAVES = [b"A.smali", b".H.smali", b"\xff.smali", b"x.so", b"p.apk", b"t.txt"]
+CONTENTS = [b"chmod\n", b"getDeviceId\n", b"Runtime exec(\n", b"\xff\xfe remount\n",
+            b"JNI_OnLoad\x00/system/bin\x00"]
+KINDS = ["file", "big", "link-in-file", "link-in-dir", "link-up", "link-out-file",
+         "link-out-dir", "loop", "dangling", "fifo"]
+MANIFESTS = ["file", "absent", "big", "dir", "fifo", "link-out", "link-proc"]
+
+nodes = st.lists(
+    st.tuples(st.sampled_from(TOPS), st.lists(st.sampled_from(DIRS), max_size=3),
+              st.sampled_from(LEAVES), st.sampled_from(KINDS), st.sampled_from(CONTENTS)),
+    max_size=12,
+)
+
+
+def _build(base: bytes, manifest: str, linked_tops, tree) -> bytes:
+    outside = os.path.join(base, b"outside")
+    os.makedirs(os.path.join(outside, b"dir"))
+    with open(os.path.join(outside, b"secret.smali"), "wb") as fh:
+        fh.write(b"chmod getDeviceId remount\n")
+    with open(os.path.join(outside, b"dir", b"Inner.smali"), "wb") as fh:
+        fh.write(b"Runtime exec(\n")
+    root = os.path.join(base, b"corpus")
+    app = os.path.join(root, b"app")
+    os.makedirs(app)
+    target = os.path.join(app, b"AndroidManifest.xml")
+    if manifest in ("file", "big"):
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(manifest_with(*["READ_SMS"] * (1 if manifest == "file" else 20)))
+    elif manifest == "dir":
+        os.mkdir(target)
+    elif manifest == "fifo":
+        os.mkfifo(target)
+    elif manifest == "link-out":
+        os.symlink(os.path.join(outside, b"secret.smali"), target)
+    elif manifest == "link-proc":
+        os.symlink(b"/proc/self/mem", target)
+    for top in linked_tops:
+        if not os.path.lexists(os.path.join(app, top)):
+            os.symlink(os.path.join(outside, b"dir"), os.path.join(app, top))
+    for top, dirs, leaf, kind, content in tree:
+        parent = os.path.join(app, top, *dirs)
+        path = os.path.join(parent, leaf)
+        try:
+            os.makedirs(parent, exist_ok=True)
+            if kind == "file":
+                with open(path, "xb") as fh:
+                    fh.write(content)
+            elif kind == "big":
+                with open(path, "xb") as fh:
+                    fh.write(content * (CAP // len(content) + 1))
+            elif kind == "fifo":
+                os.mkfifo(path)
+            else:
+                os.symlink({
+                    "link-in-file": os.path.join(app, b"AndroidManifest.xml"),
+                    "link-in-dir": os.path.join(app, top),
+                    "link-up": b"..",
+                    "link-out-file": os.path.join(outside, b"secret.smali"),
+                    "link-out-dir": os.path.join(outside, b"dir"),
+                    "loop": path,
+                    "dangling": os.path.join(base, b"nowhere"),
+                }[kind], path)
+        except OSError:
+            continue  # the path runs through a file, a link or an existing entry
+    return root
+
+
+def _reaches_no_link(root: bytes, path: bytes, final_may_link: bool) -> bool:
+    if path != root and not path.startswith(root + b"/"):
+        return False
+    parts = path[len(root):].split(b"/")[1:]
+    checked = parts if not final_may_link else parts[:-1]
+    current = root
+    for part in checked:
+        current = os.path.join(current, part)
+        if part in (b"", b".", b"..") or os.path.islink(current):
+            return False
+    return True
+
+
+def _extract(sample, listing_order):
+    real_open, real_scandir = os.open, os.scandir
+    opened, listed = [], []
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened.append((os.fsencode(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    def recording_scandir(path):
+        listed.append(os.fsencode(path))
+        with real_scandir(path) as it:
+            return Listing(listing_order(list(it)))
+
+    with mock.patch.object(os, "open", recording_open), \
+            mock.patch.object(os, "scandir", recording_scandir):
+        vector, stats = extract_features(sample, CATALOG, max_file_bytes=CAP)
+    return vector, stats, opened, listed
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(manifest=st.sampled_from(MANIFESTS), linked_tops=st.lists(st.sampled_from(TOPS), max_size=2),
+       tree=nodes)
+def test_extraction_over_hostile_trees(manifest, linked_tops, tree):
+    base = os.fsencode(tempfile.mkdtemp(prefix="apksift-hostile-"))
+    try:
+        root = _build(base, manifest, linked_tops, tree)
+        sample = load_corpus(os.fsdecode(root)).samples[0]
+        app = os.fsencode(sample.directory)
+        forward = _extract(sample, lambda entries: entries)
+        backward = _extract(sample, lambda entries: entries[::-1])
+        for _, _, opened, listed in (forward, backward):
+            # A link as the final component is refused by O_NOFOLLOW, not followed.
+            assert all(flags & os.O_NOFOLLOW for _, flags in opened), opened
+            assert all(_reaches_no_link(app, p, final_may_link=True) for p, _ in opened), opened
+            assert all(_reaches_no_link(app, p, final_may_link=False) for p in listed), listed
+        assert np.array_equal(forward[0].bits, backward[0].bits)
+        assert forward[1].warnings == backward[1].warnings
+        assert forward[1].files_scanned == backward[1].files_scanned
+    finally:
+        shutil.rmtree(base)
