@@ -42,11 +42,12 @@ corpus = load_corpus(corpus_dir.root, corpus_dir.labels)
 matrix, stats = extract_corpus(corpus, catalog)
 print(f"matrix: {len(matrix)} samples x {len(matrix.feature_names)} features")
 print(f"extraction: {stats.total_duration_ms:.1f} ms total, "
-      f"{stats.mean_duration_ms:.2f} ms per sample, {len(stats.warnings)} warnings")
+      f"{stats.total_duration_ms / len(matrix):.2f} ms per sample, "
+      f"{len(stats.warnings)} warnings")
 
 # Column sums recover the planted frequencies exactly.
 for name in ("READ_SMS", "chmod", ".apk", "Runtime.exec"):
-    col = matrix.column(name)
+    col = matrix.bits[:, matrix.feature_names.index(name)]
     print(f"  {name:14s} set in {int(col.sum())} of {len(matrix)} samples")
 
 write_matrix_csv(matrix, out / "matrix.csv")

@@ -12,14 +12,12 @@ absolute times).
 """
 
 import shutil
-import time
 from pathlib import Path
 
-from apksift.catalog import data_table_path, load_catalog, subset_catalog
+from apksift.catalog import data_table_path, load_catalog
+from apksift.cli import time_extraction_settings
 from apksift.corpus import load_corpus
 from apksift.corpusgen import FrequencyEntry, FrequencySpec, generate, spec_from_table
-from apksift.detectors import extract_corpus
-from apksift.ranking import build_contingency, rank_features, select_top
 
 out = Path("demo-output/06-bench")
 if out.exists():
@@ -34,28 +32,12 @@ corpus_dir = generate(FrequencySpec(entries, 250, 250, seed=5), out / "corpus",
                       pad_lines=600)
 corpus = load_corpus(corpus_dir.root, corpus_dir.labels)
 
-
-def timed(catalog):
-    started = time.perf_counter()
-    matrix, _ = extract_corpus(corpus, catalog)
-    return matrix, time.perf_counter() - started
-
-
-# Rank once on the full catalog to know the top 25 mixed features.
-matrix_full, _ = timed(full)
-ranked = rank_features(build_contingency(matrix_full))
-top25 = subset_catalog(full, select_top(ranked, n=25).names)
-
+# The full catalog is extracted and ranked once first, to know the top 25
+# mixed features; then each setting is timed.
 print(f"{len(corpus)} apps, code files padded to ~600 lines\n")
 print("attributes setting                     features   time")
-for label, catalog in (
-    ("25 top mixed attributes", top25),
-    ("permissions only", load_catalog("builtin", "P")),
-    ("code properties only", load_catalog("builtin", "C")),
-    ("all permissions and code properties", full),
-):
-    _, seconds = timed(catalog)
-    print(f"{label:38s} {len(catalog):8d} {seconds:6.3f} s")
+for label, n_features, seconds in time_extraction_settings(corpus):
+    print(f"{label:38s} {n_features:8d} {seconds:6.3f} s")
 
 print("\npermissions-only stays cheap because no code or asset file is ever")
 print("opened; the full catalog pays for scanning every file per feature.")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 import time
 
@@ -127,23 +128,48 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _load_corpus(args):
+    corpus = load_corpus(args.corpus, args.labels)
+    for warning in corpus.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return corpus
+
+
 def _load_labeled_matrix(args):
     cat = catalog_mod.load_catalog(args.catalog, args.mode)
-    corpus = load_corpus(args.corpus, args.labels)
+    corpus = _load_corpus(args)
     unlabeled = corpus.label_counts["unlabeled"]
     if unlabeled:
         print(f"note: ignoring {unlabeled} unlabeled sample(s)", file=sys.stderr)
         corpus = _labeled_only(corpus)
-    matrix, stats = detectors.extract_corpus(corpus, cat)
-    return cat, corpus, matrix, stats
+    return detectors.extract_corpus(corpus, cat)[0]
 
 
 def _labeled_only(corpus):
-    from .corpus import Corpus
-
     samples = tuple(s for s in corpus.samples if s.label is not None)
     counts = dict(corpus.label_counts, unlabeled=0)
-    return Corpus(samples=samples, root=corpus.root, label_counts=counts)
+    return dataclasses.replace(corpus, samples=samples, label_counts=counts)
+
+
+def time_extraction_settings(corpus, catalog: str = "builtin") -> list[tuple[str, int, float]]:
+    """(setting, feature count, seconds) rows timing extraction of a labeled corpus
+    with the top 25 features of one untimed full ranking, permissions only, code
+    properties only and the full mixed catalog, in that order."""
+    full = catalog_mod.load_catalog(catalog, "M")
+    matrix, _ = detectors.extract_corpus(corpus, full)
+    top25 = ranking.select_top(ranking.rank_features(ranking.build_contingency(matrix)), n=25)
+    settings = [
+        ("25 top mixed attributes", catalog_mod.subset_catalog(full, top25.names)),
+        ("permissions only", catalog_mod.load_catalog(catalog, "P")),
+        ("code properties only", catalog_mod.load_catalog(catalog, "C")),
+        ("all permissions and code properties", full),
+    ]
+    rows = []
+    for label, cat in settings:
+        start = time.perf_counter()
+        detectors.extract_corpus(corpus, cat)
+        rows.append((label, len(cat), time.perf_counter() - start))
+    return rows
 
 
 def _selection_args(args):
@@ -166,7 +192,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_extract(args) -> int:
     cat = catalog_mod.load_catalog(args.catalog, args.mode)
-    corpus = load_corpus(args.corpus, args.labels)
+    corpus = _load_corpus(args)
     matrix, stats = detectors.extract_corpus(corpus, cat)
     detectors.write_matrix_csv(matrix, args.out)
     if args.stats:
@@ -179,7 +205,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    _, _, matrix, _ = _load_labeled_matrix(args)
+    matrix = _load_labeled_matrix(args)
     ranked = ranking.rank_features(ranking.build_contingency(matrix))
     ranking.write_ranking_csv(ranked, args.out)
     print(f"ranked {len(ranked)} features -> {args.out}")
@@ -187,7 +213,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _, _, matrix, _ = _load_labeled_matrix(args)
+    matrix = _load_labeled_matrix(args)
     ranked = ranking.rank_features(ranking.build_contingency(matrix))
     sel = _selection_args(args)
     selection = ranking.select_top(ranked, preset=sel["preset"], n=sel["top_n"])
@@ -201,7 +227,7 @@ def _cmd_classify(args) -> int:
     model = classifier_mod.load_model(args.model)
     mode = model.catalog_mode or args.mode
     cat = catalog_mod.load_catalog(args.catalog, mode)
-    corpus = load_corpus(args.corpus, args.labels)
+    corpus = _load_corpus(args)
     matrix, _ = detectors.extract_corpus(corpus, cat)
     with open(args.out, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -215,7 +241,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    _, _, matrix, _ = _load_labeled_matrix(args)
+    matrix = _load_labeled_matrix(args)
     report = evaluation.cross_validate(
         matrix,
         **_selection_args(args),
@@ -233,28 +259,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    full = catalog_mod.load_catalog(args.catalog, "M")
-    corpus = load_corpus(args.corpus, args.labels)
-    corpus = _labeled_only(corpus)
-
-    def timed(cat):
-        start = time.perf_counter()
-        matrix, _ = detectors.extract_corpus(corpus, cat)
-        return matrix, time.perf_counter() - start
-
-    matrix_full, t_full = timed(full)
-    ranked = ranking.rank_features(ranking.build_contingency(matrix_full))
-    top25 = catalog_mod.subset_catalog(full, ranking.select_top(ranked, n=25).names)
-    settings = [
-        ("25 top mixed attributes", top25),
-        ("permissions only", catalog_mod.load_catalog(args.catalog, "P")),
-        ("code properties only", catalog_mod.load_catalog(args.catalog, "C")),
-    ]
-    rows = []
-    for label, cat in settings:
-        _, seconds = timed(cat)
-        rows.append((label, len(cat), seconds))
-    rows.append(("all permissions and code properties", len(full), t_full))
+    rows = time_extraction_settings(_labeled_only(_load_corpus(args)), args.catalog)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -118,7 +118,7 @@ class AppSample:
                 with os.scandir(directory) as it:
                     entries = [e for e in it if prefix or e.name in tops]
             except OSError as exc:
-                skipped.append((prefix.rstrip("/") or ".", f"cannot list: {exc}"))
+                skipped.append((prefix.rstrip("/") or ".", f"cannot list: {exc.strerror or exc}"))
                 continue
             for entry in entries:
                 rel = prefix + entry.name
@@ -139,6 +139,7 @@ class Corpus:
     samples: tuple[AppSample, ...]
     root: Path
     label_counts: dict = field(compare=False)
+    warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -184,16 +185,21 @@ def _read_labels(labels_path: Path) -> dict[str, ClassLabel]:
 def load_corpus(root: Path | str, labels: Path | str | None = None) -> Corpus:
     """Load every app directory under ``root``, attaching labels from the CSV.
 
-    Samples are ordered by id (byte-wise). Label rows that name a missing
-    directory are an error; directories missing from the label file are
-    kept as unlabeled samples.
+    Samples are ordered by id (byte-wise). Only real directories are
+    samples: each link at the root is skipped with a warning, and other
+    entries (such as the label file) are ignored. Label rows that name a
+    missing directory are an error; directories missing from the label
+    file are kept as unlabeled samples.
     """
     root = Path(root)
     if not root.is_dir():
         raise CorpusError(f"corpus root {root} does not exist or is not a directory")
     label_map = _read_labels(Path(labels)) if labels is not None else {}
 
-    dir_ids = sorted((p.name for p in root.iterdir() if p.is_dir()), key=_path_key)
+    with os.scandir(root) as it:
+        entries = sorted(it, key=lambda e: _path_key(e.name))
+    dir_ids = [e.name for e in entries if e.is_dir(follow_symlinks=False)]
+    warnings = tuple(f"{e.name}: skipped corpus entry (link)" for e in entries if e.is_symlink())
     present = set(dir_ids)
     missing = [app_id for app_id in label_map if app_id not in present]
     if missing:
@@ -210,7 +216,7 @@ def load_corpus(root: Path | str, labels: Path | str | None = None) -> Corpus:
         "suspicious": sum(1 for s in samples if s.label is ClassLabel.SUSPICIOUS),
         "unlabeled": sum(1 for s in samples if s.label is None),
     }
-    return Corpus(samples=samples, root=root, label_counts=counts)
+    return Corpus(samples=samples, root=root, label_counts=counts, warnings=warnings)
 
 
 def read_manifest(sample: AppSample, max_file_bytes: int = DEFAULT_MAX_FILE_BYTES) -> str:
@@ -224,7 +230,7 @@ def read_manifest(sample: AppSample, max_file_bytes: int = DEFAULT_MAX_FILE_BYTE
     except FileNotFoundError:
         raise ManifestMissing(sample.id) from None
     except OSError as exc:
-        raise CorpusError(f"manifest unreadable ({exc})") from exc
+        raise CorpusError(f"manifest unreadable ({exc.strerror or exc})") from exc
     if data is None:
         raise CorpusError(f"manifest exceeds {max_file_bytes} byte cap")
     return data.decode("utf-8", errors="replace")

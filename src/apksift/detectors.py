@@ -73,9 +73,6 @@ class FeatureVector:
         if len(self.bits) != len(self.names):
             raise ValueError("bit count does not match feature count")
 
-    def as_dict(self) -> dict[str, int]:
-        return {n: int(b) for n, b in zip(self.names, self.bits)}
-
 
 @dataclass
 class SampleStats:
@@ -100,10 +97,6 @@ class ExtractionStats:
         return sum(s.duration_ms for s in self.per_sample)
 
     @property
-    def mean_duration_ms(self) -> float:
-        return self.total_duration_ms / len(self.per_sample) if self.per_sample else 0.0
-
-    @property
     def warnings(self) -> list[str]:
         return [w for s in self.per_sample for w in s.warnings]
 
@@ -120,9 +113,6 @@ class FeatureMatrix:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def column(self, name: str) -> np.ndarray:
-        return self.bits[:, self.feature_names.index(name)]
 
     def vector(self, row: int) -> FeatureVector:
         return FeatureVector(self.ids[row], self.feature_names, self.bits[row])
@@ -187,7 +177,7 @@ def _read_member(sample: AppSample, rel: str, cap: int, warnings: list[str]) -> 
     try:
         data = _read_capped(sample.directory / rel, cap)
     except OSError as exc:
-        warnings.append(f"{sample.id}: unreadable file {rel}: {exc}")
+        warnings.append(f"{sample.id}: unreadable file {rel}: {exc.strerror or exc}")
         return None
     if data is None:
         warnings.append(f"{sample.id}: skipped {rel} (exceeds {cap} byte cap)")

@@ -233,11 +233,9 @@ def _mean_metrics(per_fold: list[MetricSet]) -> tuple[MetricSet, int]:
     )
 
 
-def _submatrix(matrix: FeatureMatrix, row_ids: list[str]) -> FeatureMatrix:
-    index = {app_id: i for i, app_id in enumerate(matrix.ids)}
-    rows = [index[r] for r in row_ids]
+def _rows(matrix: FeatureMatrix, rows: list[int]) -> FeatureMatrix:
     return FeatureMatrix(
-        ids=tuple(row_ids),
+        ids=tuple(matrix.ids[r] for r in rows),
         labels=tuple(matrix.labels[r] for r in rows),
         feature_names=matrix.feature_names,
         bits=matrix.bits[rows],
@@ -245,30 +243,23 @@ def _submatrix(matrix: FeatureMatrix, row_ids: list[str]) -> FeatureMatrix:
     )
 
 
-def _evaluate_fold(
+def _fit_and_score(
     matrix: FeatureMatrix,
-    train_ids: list[str],
-    test_ids: list[str],
+    train_rows: list[int],
+    test_rows: list[int],
     preset: str | None,
     top_n: int | None,
     alpha: float,
-    threshold: float,
-) -> tuple[TrainedModel, FeatureSelection, list[float], list[ClassLabel], list[ClassLabel]]:
+) -> tuple[TrainedModel, FeatureSelection, list[float]]:
     """Rank, select and train on the training rows only, then score the test rows.
 
-    Returns (model, selection, test posteriors, test decisions, test truths).
+    Returns (model, selection, test posteriors).
     """
-    train_matrix = _submatrix(matrix, train_ids)
+    train_matrix = _rows(matrix, train_rows)
     ranked = rank_features(build_contingency(train_matrix))
     selection = select_top(ranked, preset=preset, n=top_n)
     model = train(train_matrix, selection, alpha=alpha)
-    test_matrix = _submatrix(matrix, test_ids)
-    posteriors = posterior_matrix(model, test_matrix).tolist()
-    decisions = [
-        ClassLabel.SUSPICIOUS if p >= threshold else ClassLabel.BENIGN for p in posteriors
-    ]
-    truths = list(test_matrix.labels)
-    return model, selection, posteriors, decisions, truths
+    return model, selection, posterior_matrix(model, _rows(matrix, test_rows)).tolist()
 
 
 def cross_validate(
@@ -289,16 +280,22 @@ def cross_validate(
     if len(labels) != len(matrix.ids):
         raise EvaluationError("cross-validation requires a fully labeled matrix")
     folds = stratified_kfold(list(matrix.ids), labels, k=k, seed=seed)
-    all_ids = set(matrix.ids)
+    row_of = {app_id: i for i, app_id in enumerate(matrix.ids)}
 
     fold_results: list[FoldResult] = []
     pooled_scores: list[float] = []
     pooled_labels: list[ClassLabel] = []
     for fold_index, test_ids in enumerate(folds):
-        train_ids = sorted(all_ids.difference(test_ids), key=lambda s: s.encode("utf-8"))
-        _, selection, posteriors, decisions, truths = _evaluate_fold(
-            matrix, train_ids, test_ids, preset, top_n, alpha, threshold
+        # Test rows keep fold order for the pooled ROC; counts ignore row order.
+        test_rows = [row_of[app_id] for app_id in test_ids]
+        train_rows = sorted(set(range(len(matrix))).difference(test_rows))
+        _, selection, posteriors = _fit_and_score(
+            matrix, train_rows, test_rows, preset, top_n, alpha
         )
+        truths = [matrix.labels[r] for r in test_rows]
+        decisions = [
+            ClassLabel.SUSPICIOUS if p >= threshold else ClassLabel.BENIGN for p in posteriors
+        ]
         counts = _tally(truths, decisions)
         fold_results.append(
             FoldResult(

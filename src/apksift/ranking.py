@@ -111,20 +111,20 @@ def mutual_information(table: ContingencyTable) -> float:
     if table.n_sus < 1 or table.n_ben < 1:
         raise RankingError("mutual information needs at least one sample per class")
     n = table.n_sus + table.n_ben
-    cells = {
-        (1, "sus"): table.n_pos_sus,
-        (1, "ben"): table.n_pos_ben,
-        (0, "sus"): table.n_neg_sus,
-        (0, "ben"): table.n_neg_ben,
-    }
-    p_r = {1: (table.n_pos_sus + table.n_pos_ben) / n, 0: (table.n_neg_sus + table.n_neg_ben) / n}
-    p_c = {"sus": table.n_sus / n, "ben": table.n_ben / n}
+    p_pos = (table.n_pos_sus + table.n_pos_ben) / n
+    p_neg = (table.n_neg_sus + table.n_neg_ben) / n
+    p_sus, p_ben = table.n_sus / n, table.n_ben / n
     score = 0.0
-    for (r, c), count in cells.items():
+    for count, p_r, p_c in (
+        (table.n_pos_sus, p_pos, p_sus),
+        (table.n_pos_ben, p_pos, p_ben),
+        (table.n_neg_sus, p_neg, p_sus),
+        (table.n_neg_ben, p_neg, p_ben),
+    ):
         if count == 0:
             continue  # 0 * log(0 / x) = 0 by convention
         p_joint = count / n
-        score += p_joint * math.log2(p_joint / (p_r[r] * p_c[c]))
+        score += p_joint * math.log2(p_joint / (p_r * p_c))
     return max(score, 0.0)
 
 

@@ -13,8 +13,8 @@ import time
 
 import pytest
 
-from apksift.catalog import data_table_path, load_catalog, subset_catalog
-from apksift.cli import main
+from apksift.catalog import data_table_path, load_catalog
+from apksift.cli import main, time_extraction_settings
 from apksift.corpus import ClassLabel, load_corpus
 from apksift.corpusgen import FrequencyEntry, FrequencySpec, generate, spec_from_table
 from apksift.detectors import extract_corpus
@@ -278,19 +278,7 @@ def test_performance_ordering(tmp_path_factory, catalog_m):
     g = generate(FrequencySpec(entries, 250, 250, seed=5), base / "corpus", pad_lines=600)
     corpus = load_corpus(g.root, g.labels)
 
-    def timed_extract(cat):
-        started = time.perf_counter()
-        matrix, _ = extract_corpus(corpus, cat)
-        return matrix, time.perf_counter() - started
-
-    matrix_full, t_full = timed_extract(catalog_m)
-    from apksift.ranking import rank_features, select_top
-
-    ranked = rank_features(build_contingency(matrix_full))
-    top25 = subset_catalog(catalog_m, select_top(ranked, n=25).names)
-    _, t_perm = timed_extract(load_catalog("builtin", "P"))
-    _, t_mixed25 = timed_extract(top25)
-    _, t_full2 = timed_extract(catalog_m)
+    (_, _, t_mixed25), (_, _, t_perm), _, (_, _, t_full2) = time_extraction_settings(corpus)
 
     assert t_perm < t_mixed25, f"P-only {t_perm:.3f}s not below mixed-25 {t_mixed25:.3f}s"
     assert t_mixed25 < t_full2, f"mixed-25 {t_mixed25:.3f}s not below full {t_full2:.3f}s"

@@ -205,6 +205,20 @@ def test_extract_manifest_link_to_proc_mem(tmp_path, capsys):
     assert (a["chmod"], a["READ_SMS"], b["READ_SMS"]) == ("1", "0", "1")
 
 
+def test_link_at_corpus_root_warned_by_every_command(tmp_path, small_corpus, capsys):
+    root, labels = small_corpus
+    write_sample(tmp_path, "else", code={"X.smali": '    const-string v0, "chmod"\n'})
+    os.symlink("../else", root / "x")
+    for argv in (["extract", "--mode", "C"], ["rank"], ["evaluate", "--top", "1"]):
+        assert main([*argv, "--corpus", str(root), "--labels", str(labels),
+                     "--out", str(tmp_path / argv[0])]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert warnings == ["warning: x: skipped corpus entry (link)"], argv
+    ids = [line.split(",")[0] for line in (tmp_path / "extract").read_text().splitlines()]
+    assert ids == ["app_id"] + [f"ben{i}" for i in range(6)] + [f"mal{i}" for i in range(6)]
+
+
 def test_extract_and_classify_non_utf8_names(tmp_path, small_corpus):
     root, labels = small_corpus
     model = tmp_path / "model.json"

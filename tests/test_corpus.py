@@ -27,6 +27,19 @@ def test_load_corpus_two_samples(tmp_path):
     assert [s.id for s in corpus] == ["a", "b"]
 
 
+def test_link_at_corpus_root_skipped_with_warning(tmp_path):
+    root = tmp_path / "corpus"
+    write_sample(root, "a", manifest=manifest_with())
+    write_sample(tmp_path, "else", code={"X.smali": "chmod\n"})
+    os.symlink("../else", root / "x")
+    corpus = load_corpus(root, write_labels(root, [("a", "benign")]))
+    assert [s.id for s in corpus] == ["a"]
+    assert corpus.warnings == ("x: skipped corpus entry (link)",)
+    named = write_labels(root, [("a", "benign"), ("x", "suspicious")], name="named.csv")
+    with pytest.raises(CorpusError, match="missing app directories: x"):
+        load_corpus(root, named)
+
+
 def test_load_corpus_empty(tmp_path):
     labels = tmp_path / "labels.csv"
     labels.write_text("app_id,label\n")

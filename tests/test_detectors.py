@@ -1,3 +1,4 @@
+import errno
 import os
 
 import numpy as np
@@ -317,6 +318,34 @@ def test_unreadable_code_unit_skipped(tmp_path, cat, monkeypatch):
     assert stats.files_scanned["code"] == 2
     assert len(stats.warnings) == 1
     assert stats.warnings[0].startswith("a: unreadable file smali/B.smali: ")
+
+
+def test_warnings_do_not_depend_on_corpus_root(tmp_path, cat, monkeypatch):
+    real_open, real_scandir = os.open, os.scandir
+
+    def failing_open(path, *args, **kwargs):
+        if os.fspath(path).endswith("B.smali"):
+            raise PermissionError(errno.EACCES, "Permission denied", os.fspath(path))
+        return real_open(path, *args, **kwargs)
+
+    def failing_scandir(path):
+        if os.fspath(path).endswith("deny"):
+            raise PermissionError(errno.EACCES, "Permission denied", os.fspath(path))
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "open", failing_open)
+    monkeypatch.setattr(os, "scandir", failing_scandir)
+    seen = []
+    for root in (tmp_path / "c1", tmp_path / "deep" / "c2"):
+        d = write_sample(root, "a", code={"A.smali": "", "B.smali": "", "deny/C.smali": ""})
+        os.symlink("elsewhere.xml", d / "AndroidManifest.xml")
+        _, stats = extract_corpus(load_corpus(root), cat)
+        seen.append(stats.warnings)
+    assert seen[0] == seen[1] == [
+        f"a: manifest unreadable ({os.strerror(errno.ELOOP)}); permission features zeroed",
+        "a: skipped smali/deny (cannot list: Permission denied)",
+        "a: unreadable file smali/B.smali: Permission denied",
+    ]
 
 
 def test_extract_corpus_calls_extract_features_per_sample(tmp_path, cat, monkeypatch):

@@ -11,7 +11,7 @@ from apksift.detectors import FeatureMatrix
 from apksift.errors import EvaluationError
 from apksift.evaluation import (
     ConfusionCounts,
-    _evaluate_fold,
+    _fit_and_score,
     confusion,
     cross_validate,
     emit_report,
@@ -294,27 +294,43 @@ def test_cross_validate_unlabeled_fatal():
         cross_validate(m, top_n=1, k=5, seed=0)
 
 
+def test_cross_validate_ignores_row_order():
+    rng = random.Random(5)
+    ids = [f"app{i:02d}" for i in range(60)]
+    labels = [rng.choice((BEN, SUS)) for _ in ids]
+    # Odd features lean suspicious, so folds rank, select and score differently.
+    bits = np.array([[rng.random() < (0.7 if lab is SUS and j % 2 else 0.3) for j in range(8)]
+                     for lab in labels], dtype=np.uint8)
+    names = tuple(f"f{j}" for j in range(8))
+    matrix = FeatureMatrix(tuple(ids), tuple(labels), names, bits, "M")
+    order = list(range(len(ids)))
+    rng.shuffle(order)
+    permuted = FeatureMatrix(
+        tuple(ids[r] for r in order), tuple(labels[r] for r in order), names, bits[order], "M"
+    )
+    for selection in ({"top_n": 3}, {"preset": "5fT"}):
+        a = cross_validate(matrix, **selection, k=5, seed=3)
+        b = cross_validate(permuted, **selection, k=5, seed=3)
+        assert report_to_dict(a) == report_to_dict(b)
+        assert [f.test_ids for f in a.folds] == [f.test_ids for f in b.folds]
+
+
 def test_leakage_guard_test_labels_never_touch_training():
     matrix = _separable_matrix(20, 3)
     labels = {i: lab for i, lab in zip(matrix.ids, matrix.labels)}
     folds = stratified_kfold(list(matrix.ids), labels, k=5, seed=11)
-    test_ids = folds[0]
-    train_ids = sorted(set(matrix.ids) - set(test_ids))
+    test_rows = [matrix.ids.index(t) for t in folds[0]]
+    train_rows = [r for r in range(len(matrix)) if r not in test_rows]
 
-    model_a, sel_a, post_a, _, _ = _evaluate_fold(
-        matrix, train_ids, test_ids, None, 2, 1.0, 0.5
-    )
+    model_a, sel_a, post_a = _fit_and_score(matrix, train_rows, test_rows, None, 2, 1.0)
     # permute the labels of the test rows only; training must be unaffected
     permuted = list(matrix.labels)
-    test_rows = [matrix.ids.index(t) for t in test_ids]
     for row in test_rows:
         permuted[row] = BEN if permuted[row] is SUS else SUS
     shuffled = FeatureMatrix(
         matrix.ids, tuple(permuted), matrix.feature_names, matrix.bits, matrix.mode
     )
-    model_b, sel_b, post_b, _, _ = _evaluate_fold(
-        shuffled, train_ids, test_ids, None, 2, 1.0, 0.5
-    )
+    model_b, sel_b, post_b = _fit_and_score(shuffled, train_rows, test_rows, None, 2, 1.0)
     assert model_a == model_b
     assert sel_a == sel_b
     assert post_a == post_b
