@@ -15,7 +15,9 @@ A list-valued pattern is a compound detector: every part must appear on
 the same line (this covers both Java-style ``Runtime.exec(`` and smali
 ``Ljava/lang/Runtime;->exec(`` surface forms with one definition).
 No pattern part may contain a line break (any ``str.splitlines``
-separator), since matching is line by line.
+separator), since matching is line by line; ``FeatureDef`` holds that
+rule for the detectors and the corpus generator alike. A kind may name
+only the scopes extraction searches for it (``_SEARCHED``).
 File order defines feature index order. The shipped default catalog has
 131 standard permissions followed by 58 code-based properties; loading
 it in mode P/C/M keeps the permission subset, the code subset, or both,
@@ -25,12 +27,11 @@ re-indexing densely from 0 either way.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .corpus import PAYLOAD_SCOPES, Scope
 from .errors import CatalogError
@@ -56,6 +57,13 @@ CONTENT_KINDS = frozenset(
 
 _SCOPE_BY_NAME = {s.value: s for s in Scope}
 
+#: The scopes extraction searches for each kind.
+_SEARCHED = {
+    "permission": frozenset({Scope.MANIFEST}),
+    "payload-extension": frozenset(PAYLOAD_SCOPES),
+    **{kind: frozenset((Scope.CODE, *PAYLOAD_SCOPES)) for kind in CONTENT_KINDS},
+}
+
 
 @dataclass(frozen=True)
 class FeatureDef:
@@ -66,43 +74,50 @@ class FeatureDef:
     kind: str
     pattern: tuple[str, ...]
     scopes: frozenset[Scope]
+    #: The one pattern part as bytes when it is all ASCII, else None.
+    needle: bytes | None = field(init=False, repr=False, compare=False)
+    #: Every pattern part as UTF-8 (the native-lib byte search).
+    encoded: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Plain attributes, not cached properties: the per-file matcher
+        # reads them for every pending feature of every file, and CPython
+        # 3.11 reads a cached property measurably slower.
+        (first, *rest) = self.pattern
+        needle = first.encode("ascii") if not rest and first.isascii() else None
+        object.__setattr__(self, "needle", needle)
+        object.__setattr__(self, "encoded", tuple(p.encode("utf-8") for p in self.pattern))
 
     @property
     def permission_name(self) -> str:
         """Fully qualified manifest attribute value for permission kinds."""
         return f"android.permission.{self.pattern[0]}"
 
-
-class ContentDetector(NamedTuple):
-    """A content-kind feature as the detectors search for it."""
-
-    index: int
-    parts: tuple[str, ...]
-    scopes: frozenset[Scope]
-    needle: bytes | None            # the one part, when it is all ASCII
-    encoded: tuple[bytes, ...]      # every part as UTF-8 (native-lib byte search)
+    def on_one_line(self, text: str) -> bool:
+        """Whether every pattern part occurs on one line of ``text``."""
+        # Parts never contain line breaks, so a single-part hit anywhere is
+        # already a one-line hit; compound patterns need a per-line pass
+        # only once every part is known to be present.
+        if not all(p in text for p in self.pattern):
+            return False
+        if len(self.pattern) == 1:
+            return True
+        return any(all(p in line for p in self.pattern) for line in text.splitlines())
 
 
 @dataclass(frozen=True)
 class ScanPlan:
     """What extraction needs from a catalog, derived once per catalog.
 
-    ``code`` holds the content detectors that search code files and
+    ``code`` holds the content-kind features that search code files and
     ``payload`` those that search assets, resources or native libraries
-    (one detector may be in both); all keep catalog order.
+    (one feature may be in both); all keep catalog order.
     """
 
     permissions: MappingProxyType      # android.permission.<NAME> -> feature indices
-    code: tuple[ContentDetector, ...]
-    payload: tuple[ContentDetector, ...]
+    code: tuple[FeatureDef, ...]
+    payload: tuple[FeatureDef, ...]
     suffixes: tuple[FeatureDef, ...]    # payload-extension features
-
-
-def _content_detector(d: FeatureDef) -> ContentDetector:
-    (first, *rest) = d.pattern
-    needle = first.encode("ascii") if not rest and first.isascii() else None
-    return ContentDetector(d.index, d.pattern, d.scopes, needle,
-                           tuple(p.encode("utf-8") for p in d.pattern))
 
 
 @dataclass(frozen=True)
@@ -126,11 +141,11 @@ class FeatureCatalog:
         for d in self.defs:
             if d.kind == "permission":
                 permissions[d.permission_name] = permissions.get(d.permission_name, ()) + (d.index,)
-        content = [_content_detector(d) for d in self.defs if d.kind in CONTENT_KINDS]
+        content = [d for d in self.defs if d.kind in CONTENT_KINDS]
         return ScanPlan(
             permissions=MappingProxyType(permissions),
-            code=tuple(c for c in content if Scope.CODE in c.scopes),
-            payload=tuple(c for c in content if not c.scopes.isdisjoint(PAYLOAD_SCOPES)),
+            code=tuple(d for d in content if Scope.CODE in d.scopes),
+            payload=tuple(d for d in content if not d.scopes.isdisjoint(PAYLOAD_SCOPES)),
             suffixes=tuple(d for d in self.defs if d.kind == "payload-extension"),
         )
 
@@ -173,10 +188,11 @@ def _parse_entry(raw: object, position: int, text: str) -> tuple[str, str, tuple
         raise CatalogError(f"feature {name!r}: unknown scope {exc}") from exc
     if not scope_set:
         raise CatalogError(f"feature {name!r}: at least one scope required")
-    if kind == "permission" and scope_set != {Scope.MANIFEST}:
-        raise CatalogError(f"permission feature {name!r} must search exactly the manifest scope")
-    if kind != "permission" and Scope.MANIFEST in scope_set:
-        raise CatalogError(f"non-permission feature {name!r} must not search the manifest scope")
+    unsearched = [s.value for s in Scope if s in scope_set - _SEARCHED[kind]]
+    if unsearched:
+        searched = ", ".join(s.value for s in Scope if s in _SEARCHED[kind])
+        raise CatalogError(f"{kind} feature {name!r} must not search the {unsearched[0]} scope "
+                           f"(extraction searches this kind only in the {searched} scope(s))")
     return str(name), kind, parts, scope_set
 
 

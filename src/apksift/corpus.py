@@ -15,7 +15,7 @@ the raw bytes of the path, so results never depend on platform
 directory-listing order, and names need not be valid UTF-8. Every tree is
 hostile: one walk that never follows a link lists a sample's files,
 skipping links, FIFOs, sockets and devices with a warning, and one capped
-reader reads them, the manifest included.
+reader reads them, the manifest included (members through ``AppSample.read``).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import enum
 import os
 import stat
 from dataclasses import dataclass, field
+from operator import methodcaller
 from pathlib import Path
 
 from .errors import CorpusError, ManifestMissing
@@ -56,6 +57,9 @@ class Scope(enum.Enum):
     NATIVE_LIB = "native-lib"
     OTHER = "other"
 
+    # Members are singletons; identity hashing keeps per-file scope tests in C.
+    __hash__ = object.__hash__
+
 
 #: Scopes holding secondary payload material (everything but manifest/code).
 PAYLOAD_SCOPES = (Scope.ASSETS, Scope.RESOURCES, Scope.NATIVE_LIB)
@@ -74,11 +78,11 @@ def scope_of(relative_path: str) -> Scope:
     }.get(head, Scope.OTHER)
 
 
-def _path_key(path: str) -> bytes:
-    return path.encode("utf-8", "surrogateescape")
+#: Sort key of sample ids and member paths: the raw bytes of the name.
+PATH_KEY = methodcaller("encode", "utf-8", "surrogateescape")
 
 
-def _read_capped(path: Path, cap: int) -> bytes | None:
+def _read_capped(path: Path | str, cap: int) -> bytes | None:
     """Bytes of the regular file (never a final link) at ``path``; None above ``cap``."""
     fd = os.open(path, _OPEN_FLAGS)
     try:
@@ -129,9 +133,20 @@ class AppSample:
                 else:
                     skipped.append((rel, "link" if entry.is_symlink() else "not a regular file"))
         if warnings is not None:
-            skipped.sort(key=lambda item: _path_key(item[0]))
+            skipped.sort(key=lambda item: PATH_KEY(item[0]))
             warnings.extend(f"{self.id}: skipped {rel} ({why})" for rel, why in skipped)
-        return [(rel, scope_of(rel)) for rel in sorted(rels, key=_path_key)]
+        return [(rel, scope_of(rel)) for rel in sorted(rels, key=PATH_KEY)]
+
+    def read(self, rel: str, cap: int, warnings: list[str]) -> bytes | None:
+        """Bytes of member ``rel`` from the capped reader; None, with a warning, if refused."""
+        try:
+            data = _read_capped(os.path.join(self.directory, rel), cap)
+        except OSError as exc:
+            warnings.append(f"{self.id}: unreadable file {rel}: {exc.strerror or exc}")
+            return None
+        if data is None:
+            warnings.append(f"{self.id}: skipped {rel} (exceeds {cap} byte cap)")
+        return data
 
 
 @dataclass(frozen=True)
@@ -197,7 +212,7 @@ def load_corpus(root: Path | str, labels: Path | str | None = None) -> Corpus:
     label_map = _read_labels(Path(labels)) if labels is not None else {}
 
     with os.scandir(root) as it:
-        entries = sorted(it, key=lambda e: _path_key(e.name))
+        entries = sorted(it, key=lambda e: PATH_KEY(e.name))
     dir_ids = [e.name for e in entries if e.is_dir(follow_symlinks=False)]
     warnings = tuple(f"{e.name}: skipped corpus entry (link)" for e in entries if e.is_symlink())
     present = set(dir_ids)

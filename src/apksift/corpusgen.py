@@ -11,9 +11,10 @@ Exactness needs care where one pattern contains another ("mount" is a
 substring of "remount", "/system/bin" of "/system/bin/sh"): planting the
 longer pattern inevitably sets the shorter one's bit too. The generator
 therefore computes, for every planted artifact, the full set of spec
-features it triggers, and nests the sample choices so a feature is only
-ever planted inside the sample sets of everything it drags along. Specs
-whose counts make that nesting impossible are rejected.
+features it triggers (by the detectors' own ``FeatureDef.on_one_line``),
+and nests the sample choices so a feature is only ever planted inside the
+sample sets of everything it drags along. Specs whose counts make that
+nesting impossible are rejected.
 
 Only per-feature marginals are guaranteed; the joint structure across
 features is an arbitrary byproduct of the seeded per-feature permutations
@@ -129,31 +130,21 @@ def _payload_path(feature: FeatureDef) -> str:
     return f"assets/payload-{feature.index:03d}{feature.pattern[0]}"
 
 
-def _line_triggers(line: str, candidates: list[FeatureDef]) -> set[str]:
-    hits = set()
-    for g in candidates:
-        if Scope.CODE in g.scopes and all(p in line for p in g.pattern):
-            hits.add(g.name)
-    return hits
-
-
 def _compute_triggers(entries: tuple[FrequencyEntry, ...]) -> dict[str, set[str]]:
     """Which other spec features each feature's planted artifact sets."""
-    content = [e.feature for e in entries if e.feature.kind in CONTENT_KINDS]
-    payload = [e.feature for e in entries if e.feature.kind == "payload-extension"]
+    plan = FeatureCatalog(tuple(e.feature for e in entries), "M").plan
     triggers: dict[str, set[str]] = {}
     for e in entries:
         f = e.feature
         if f.kind == "permission":
             hit = {f.name}
         elif f.kind in CONTENT_KINDS:
-            hit = _line_triggers(_code_line(f), content)
+            line = _code_line(f)
+            hit = {g.name for g in plan.code if g.on_one_line(line)}
         else:
             path = _payload_path(f)
-            hit = {
-                g.name for g in payload
-                if Scope.ASSETS in g.scopes and path.endswith(g.pattern[0])
-            }
+            hit = {g.name for g in plan.suffixes
+                   if Scope.ASSETS in g.scopes and path.endswith(g.pattern[0])}
         if f.name not in hit:
             # content features are planted as code lines, payload features as
             # assets files; a def scoped away from those locations cannot be
@@ -187,13 +178,10 @@ def _planting_order(entries: tuple[FrequencyEntry, ...],
 
 
 def _assert_inert(text: str, entries: tuple[FrequencyEntry, ...], what: str) -> None:
-    for line in text.splitlines():
-        for e in entries:
-            f = e.feature
-            if f.kind in CONTENT_KINDS and all(p in line for p in f.pattern):
-                raise GenerationError(
-                    f"internal: {what} accidentally matches feature {f.name!r}"
-                )
+    for e in entries:
+        f = e.feature
+        if f.kind in CONTENT_KINDS and f.on_one_line(text):
+            raise GenerationError(f"internal: {what} accidentally matches feature {f.name!r}")
 
 
 def _choose(pool: list[str], count: int, seed: int, feature: str, label: ClassLabel,

@@ -24,12 +24,14 @@ raw bytes instead, which gives the same answer: an ASCII byte never
 occurs inside a multi-byte UTF-8 sequence, and replacement turns only
 non-ASCII bytes into U+FFFD, never dropping, merging or producing an
 ASCII character. A file is decoded at most once, and only while a
-compound or non-ASCII pattern is still pending for it. The per-catalog
-derived data (permission names, ASCII needles, scope lists) is the
-catalog's ``plan``, built on first use.
+compound or non-ASCII pattern is still pending for it.
 
-Files come from the corpus walk and capped reader: each link, special file
-or file over ``max_file_bytes`` (the manifest too) is skipped with a warning.
+The line rule and byte forms of a pattern live on ``catalog.FeatureDef``
+and the features per scope in the catalog's ``plan``; this module holds
+the one per-file matcher and one scan loop for the code and payload
+walks. Files are read only through ``AppSample.read``: each link, special
+file or file over ``max_file_bytes`` (the manifest too) is skipped with a
+warning.
 """
 
 from __future__ import annotations
@@ -43,14 +45,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import ContentDetector, FeatureCatalog
+from .catalog import FeatureCatalog, FeatureDef, ScanPlan
 from .corpus import (
     DEFAULT_MAX_FILE_BYTES,
     AppSample,
     ClassLabel,
     Corpus,
     Scope,
-    _read_capped,
     enumerate_code_units,
     enumerate_payload_files,
     read_manifest,
@@ -139,27 +140,15 @@ def declared_permissions(manifest_text: str) -> tuple[set[str], list[str]]:
     return names, []
 
 
-def _matches_text(text: str, parts: tuple[str, ...]) -> bool:
-    # Patterns never contain line breaks, so a single-part hit anywhere in
-    # the text is already a single-line hit; compound patterns need a
-    # per-line pass only after all parts are known to be present.
-    if not all(p in text for p in parts):
-        return False
-    if len(parts) == 1:
-        return True
-    return any(all(p in line for p in parts) for line in text.splitlines())
+def _hits(data: bytes, scope: Scope, pending: list[FeatureDef]) -> list[FeatureDef]:
+    """The pending features whose pattern occurs in one file of ``scope``.
 
-
-def _matches_bytes(data: bytes, encoded: tuple[bytes, ...]) -> bool:
-    return all(p in data for p in encoded)
-
-
-def _text_hits(data: bytes, pending: list[ContentDetector]) -> list[ContentDetector]:
-    """The pending detectors whose pattern occurs in a text file's bytes.
-
-    The file is decoded at most once, and only when a detector without an
-    ASCII needle is reached.
+    A native library is raw bytes: every part may occur anywhere. Any
+    other file is text: ASCII needles match on the bytes, and the file is
+    decoded at most once, only when a feature without a needle is reached.
     """
+    if scope is Scope.NATIVE_LIB:
+        return [d for d in pending if all(p in data for p in d.encoded)]
     hits, text = [], None
     for d in pending:
         if d.needle is not None:
@@ -167,21 +156,25 @@ def _text_hits(data: bytes, pending: list[ContentDetector]) -> list[ContentDetec
         else:
             if text is None:
                 text = data.decode("utf-8", errors="replace")
-            hit = _matches_text(text, d.parts)
+            hit = d.on_one_line(text)
         if hit:
             hits.append(d)
     return hits
 
 
-def _read_member(sample: AppSample, rel: str, cap: int, warnings: list[str]) -> bytes | None:
-    try:
-        data = _read_capped(sample.directory / rel, cap)
-    except OSError as exc:
-        warnings.append(f"{sample.id}: unreadable file {rel}: {exc.strerror or exc}")
-        return None
-    if data is None:
-        warnings.append(f"{sample.id}: skipped {rel} (exceeds {cap} byte cap)")
-    return data
+def _walks(sample: AppSample, plan: ScanPlan, bits: bytearray, warnings: list[str]):
+    """(files, pending features, suffix features) of the code walk, then the payload walk.
+
+    A walk is listed only while it has work: code features for the code
+    walk; payload-extension features or payload features the code walk
+    left unset for the payload walk.
+    """
+    if plan.code:
+        code = [(rel, Scope.CODE) for rel in enumerate_code_units(sample, warnings)]
+        yield code, list(plan.code), ()
+    pending = [d for d in plan.payload if not bits[d.index]]
+    if pending or plan.suffixes:
+        yield enumerate_payload_files(sample, warnings), pending, plan.suffixes
 
 
 def extract_features(
@@ -216,41 +209,23 @@ def extract_features(
                 for i in plan.permissions.get(name, ()):
                     bits[i] = 1
 
-    pending_code = list(plan.code)
-    if pending_code:
-        for rel in enumerate_code_units(sample, warnings):
-            if not pending_code:
-                break
-            data = _read_member(sample, rel, max_file_bytes, warnings)
-            if data is None:
-                continue
-            scanned[Scope.CODE.value] += 1
-            for d in _text_hits(data, pending_code):
-                bits[d.index] = 1
-                pending_code.remove(d)
-
-    suffixes = list(plan.suffixes)
-    pending = [d for d in plan.payload if not bits[d.index]]
-    if suffixes or pending:
-        for rel, scope in enumerate_payload_files(sample, warnings):
-            for d in suffixes[:]:
+    for files, pending, suffixes in _walks(sample, plan, bits, warnings):
+        for rel, scope in files:
+            for d in suffixes:
                 if scope in d.scopes and rel.endswith(d.pattern[0]):
                     bits[d.index] = 1
-                    suffixes.remove(d)
-            pending_here = [d for d in pending if scope in d.scopes]
-            if not pending_here:
+            here = [d for d in pending if scope in d.scopes]
+            if not here:
                 continue
-            data = _read_member(sample, rel, max_file_bytes, warnings)
+            data = sample.read(rel, max_file_bytes, warnings)
             if data is None:
                 continue
             scanned[scope.value] += 1
-            if scope is Scope.NATIVE_LIB:
-                hits = [d for d in pending_here if _matches_bytes(data, d.encoded)]
-            else:
-                hits = _text_hits(data, pending_here)
+            hits = _hits(data, scope, here)
             for d in hits:
                 bits[d.index] = 1
-                pending.remove(d)
+            if hits:
+                pending = [d for d in pending if not bits[d.index]]
 
     duration_ms = (time.perf_counter() - start) * 1000.0
     vector = FeatureVector(sample.id, catalog.names, np.frombuffer(bits, dtype=np.uint8))

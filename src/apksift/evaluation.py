@@ -31,7 +31,7 @@ from pathlib import Path
 
 
 from .classifier import TrainedModel, posterior_matrix, train
-from .corpus import ClassLabel
+from .corpus import PATH_KEY, ClassLabel
 from .detectors import FeatureMatrix
 from .errors import EvaluationError
 from .ranking import FeatureSelection, build_contingency, rank_features, select_top
@@ -175,7 +175,7 @@ def stratified_kfold(
         by_class[label].append(app_id)
     folds: list[list[str]] = [[] for _ in range(k)]
     for class_index, label in enumerate((ClassLabel.BENIGN, ClassLabel.SUSPICIOUS)):
-        members = sorted(by_class[label], key=lambda s: s.encode("utf-8"))
+        members = sorted(by_class[label], key=PATH_KEY)
         if len(members) < k:
             raise EvaluationError(
                 f"class {label.value!r} has {len(members)} samples, fewer than k={k}"

@@ -99,6 +99,18 @@ def test_permission_scope_rule():
         parse_catalog(bad)
 
 
+@pytest.mark.parametrize("kind, pattern, scopes, unsearched", [
+    ("string-token", "chmod", ["other"], "other"),
+    ("string-token", "chmod", ["code", "other"], "other"),
+    ("payload-extension", ".dex", ["other"], "other"),
+    ("payload-extension", ".dex", ["code"], "code"),
+])
+def test_scope_never_searched_fatal(kind, pattern, scopes, unsearched):
+    text = json.dumps([_entry("never", kind=kind, pattern=pattern, scopes=scopes)])
+    with pytest.raises(CatalogError, match=f"'never' must not search the {unsearched} scope"):
+        parse_catalog(text)
+
+
 def test_unknown_scope_fatal():
     with pytest.raises(CatalogError, match="scope"):
         parse_catalog(json.dumps([_entry("x", kind="api-call", scopes=["kernel"])]))

@@ -368,6 +368,31 @@ def test_extract_corpus_calls_extract_features_per_sample(tmp_path, cat, monkeyp
     assert int(matrix.bits.sum()) == 3
 
 
+@pytest.mark.parametrize("mode, stages", [
+    ("M", ["read_manifest", "enumerate_code_units", "enumerate_payload_files"]),
+    ("P", ["read_manifest"]),
+])
+def test_stage_calls_per_sample(tmp_path, monkeypatch, mode, stages):
+    # Stage timing wraps these three through detectors' module attributes
+    # and counts walks per sample: mode M lists each walk once per sample,
+    # and mode P never walks.
+    for i in range(3):
+        write_sample(tmp_path, f"s{i}", manifest=manifest_with("READ_SMS"),
+                     code={"A.smali": "chmod\n"}, payloads=["assets/p.apk"])
+    calls = []
+
+    def counted(name, real):
+        def wrapper(sample, *args, **kwargs):
+            calls.append((name, sample.id))
+            return real(sample, *args, **kwargs)
+        return wrapper
+
+    for name in ("read_manifest", "enumerate_code_units", "enumerate_payload_files"):
+        monkeypatch.setattr(detectors, name, counted(name, getattr(detectors, name)))
+    extract_corpus(load_corpus(tmp_path), load_catalog("builtin", mode))
+    assert sorted(calls) == sorted((name, f"s{i}") for name in stages for i in range(3))
+
+
 # --- matrix CSV ----------------------------------------------------------------
 
 def test_matrix_csv_roundtrip(tmp_path, cat):

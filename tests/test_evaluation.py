@@ -156,6 +156,15 @@ def test_kfold_disjoint_and_covering():
     assert sizes[-1] - sizes[0] <= 2  # floor/ceil of each class
 
 
+def test_kfold_non_utf8_ids():
+    # load_corpus keeps a non-UTF-8 directory name as a surrogate-escaped id
+    ids = [f"\udcff{i}" for i in range(3)] + [f"b{i}" for i in range(3)]
+    labels = {i: (BEN if i.startswith("b") else SUS) for i in ids}
+    folds = stratified_kfold(ids, labels, k=3, seed=4)
+    assert sorted(i for fold in folds for i in fold) == sorted(ids)
+    assert stratified_kfold(ids[::-1], labels, k=3, seed=4) == folds
+
+
 def test_kfold_class_smaller_than_k_fatal():
     ids, labels = _ids_labels(4, 10)
     with pytest.raises(EvaluationError, match="benign"):

@@ -6,10 +6,12 @@ dangling links, top-level directories that are links, FIFOs and files
 over the read cap. For every tree,
 extraction must not raise, must open and list only paths under the
 sample root that reach no link on the way (a link as the final
-component of an open is refused by O_NOFOLLOW), and must give the same bits,
-warnings and file counts whatever order directories list in.
+component of an open is refused by O_NOFOLLOW), must give the same bits,
+warnings and file counts whatever order directories list in, and must
+give the bits of the naive reference extractor (``reference.py``).
 """
 
+import json
 import os
 import shutil
 import tempfile
@@ -19,27 +21,36 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from apksift.catalog import load_catalog
+from apksift.catalog import builtin_catalog, parse_catalog
 from apksift.corpus import load_corpus
 from apksift.detectors import extract_features
 
 from conftest import Listing, manifest_with
+from reference import reference_bits
 
 CAP = 512
-CATALOG = load_catalog("builtin", "M")
+# The builtin catalog plus a compound pattern in payload scopes, so that
+# native libraries (raw bytes) and assets (lines) disagree on split parts.
+CATALOG = parse_catalog(json.dumps(json.loads(builtin_catalog()) + [
+    {"name": "Runtime+exec(", "kind": "api-call", "pattern": ["Runtime", "exec("],
+     "scopes": ["assets", "native-lib"]},
+]))
 
 TOPS = [b"smali", b"assets", b"lib", b"res", b"other"]
 DIRS = [b"d", b".hid", b"\xff\xfe", b"n\xc3\xa9"]
 LEAVES = [b"A.smali", b".H.smali", b"\xff.smali", b"x.so", b"p.apk", b"t.txt"]
 CONTENTS = [b"chmod\n", b"getDeviceId\n", b"Runtime exec(\n", b"\xff\xfe remount\n",
-            b"JNI_OnLoad\x00/system/bin\x00"]
+            b"JNI_OnLoad\x00/system/bin\x00", b"Runtime\rexec(\n",
+            "Runtime\u2028exec(\n".encode("utf-8")]
 KINDS = ["file", "big", "link-in-file", "link-in-dir", "link-up", "link-out-file",
          "link-out-dir", "loop", "dangling", "fifo"]
 MANIFESTS = ["file", "absent", "big", "dir", "fifo", "link-out", "link-proc"]
 
 nodes = st.lists(
+    # About half the nodes are plain files, whose bits the reference checks.
     st.tuples(st.sampled_from(TOPS), st.lists(st.sampled_from(DIRS), max_size=3),
-              st.sampled_from(LEAVES), st.sampled_from(KINDS), st.sampled_from(CONTENTS)),
+              st.sampled_from(LEAVES), st.one_of(st.just("file"), st.sampled_from(KINDS)),
+              st.sampled_from(CONTENTS)),
     max_size=12,
 )
 
@@ -149,5 +160,6 @@ def test_extraction_over_hostile_trees(manifest, linked_tops, tree):
         assert np.array_equal(forward[0].bits, backward[0].bits)
         assert forward[1].warnings == backward[1].warnings
         assert forward[1].files_scanned == backward[1].files_scanned
+        assert forward[0].bits.tolist() == reference_bits(str(sample.directory), CATALOG, CAP)
     finally:
         shutil.rmtree(base)
