@@ -16,7 +16,7 @@ from pathlib import Path
 from apksift.catalog import load_catalog
 from apksift.corpus import load_corpus
 from apksift.corpusgen import FrequencyEntry, FrequencySpec, generate
-from apksift.detectors import extract_corpus, write_matrix_csv
+from apksift.detectors import extract_corpus, extract_features, write_matrix_csv
 
 out = Path("demo-output/02-extract")
 if out.exists():
@@ -44,6 +44,13 @@ print(f"matrix: {len(matrix)} samples x {len(matrix.feature_names)} features")
 print(f"extraction: {stats.total_duration_ms:.1f} ms total, "
       f"{stats.total_duration_ms / len(matrix):.2f} ms per sample, "
       f"{len(stats.warnings)} warnings")
+
+# A sample's row is one 0/1 byte per catalog feature, in catalog order;
+# extract_corpus stacks the rows into the matrix.
+row, sample_stats = extract_features(corpus.samples[-1], catalog)
+assert row == matrix.bits[-1].tobytes()
+set_names = [name for name, bit in zip(catalog.names, row) if bit]
+print(f"{sample_stats.sample_id}: {len(row)}-byte row, set: {', '.join(set_names) or 'none'}")
 
 # Column sums recover the planted frequencies exactly.
 for name in ("READ_SMS", "chmod", ".apk", "Runtime.exec"):

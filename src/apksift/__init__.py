@@ -14,7 +14,7 @@ from .classifier import (
     TrainedModel,
     classify,
     load_model,
-    posterior,
+    posterior_matrix,
     save_model,
     train,
 )
@@ -32,7 +32,6 @@ from .corpusgen import FrequencySpec, GeneratedCorpus, generate, spec_from_table
 from .detectors import (
     ExtractionStats,
     FeatureMatrix,
-    FeatureVector,
     extract_corpus,
     extract_features,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "FeatureDef",
     "FeatureMatrix",
     "FeatureSelection",
-    "FeatureVector",
     "FrequencySpec",
     "GeneratedCorpus",
     "MetricSet",
@@ -99,7 +97,7 @@ __all__ = [
     "load_model",
     "metrics",
     "mutual_information",
-    "posterior",
+    "posterior_matrix",
     "rank_features",
     "read_manifest",
     "roc",

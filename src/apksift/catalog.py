@@ -252,7 +252,7 @@ def serialize_catalog(catalog: FeatureCatalog) -> str:
     return json.dumps(items, indent=2, ensure_ascii=False) + "\n"
 
 
-def subset_catalog(catalog: FeatureCatalog, names, mode: str | None = None) -> FeatureCatalog:
+def subset_catalog(catalog: FeatureCatalog, names) -> FeatureCatalog:
     """Catalog restricted to ``names``, keeping file order, re-indexed from 0."""
     wanted = set(names)
     missing = wanted.difference(d.name for d in catalog)
@@ -263,7 +263,7 @@ def subset_catalog(catalog: FeatureCatalog, names, mode: str | None = None) -> F
         FeatureDef(index=i, name=d.name, kind=d.kind, pattern=d.pattern, scopes=d.scopes)
         for i, d in enumerate(kept)
     )
-    return FeatureCatalog(defs=defs, mode=mode if mode is not None else catalog.mode)
+    return FeatureCatalog(defs=defs, mode=catalog.mode)
 
 
 def builtin_catalog() -> str:

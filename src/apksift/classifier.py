@@ -1,14 +1,14 @@
 """Bernoulli naive Bayes over selected binary features.
 
-Training estimates class priors from class sizes and, for every selected
-feature, the probability of seeing the bit set in each class with
-additive smoothing: theta = (positives + alpha) / (class size + 2*alpha).
-Scoring has one vectorized implementation over a whole matrix: the log
-joints of the two classes (the likelihood product underflows past a few
-dozen features otherwise), normalized back to a probability; a single
-vector is scored as a one-row matrix. A sample is called suspicious when
-its posterior reaches the decision threshold; exact ties go to
-suspicious, the costlier class to miss.
+Training reads the contingency tables ranking already took: class priors
+from the class sizes and, for every selected feature, the probability of
+seeing the bit set in each class with additive smoothing:
+theta = (positives + alpha) / (class size + 2*alpha). Scoring has one
+vectorized implementation over a whole matrix: the log joints of the two
+classes (the likelihood product underflows past a few dozen features
+otherwise), normalized back to a probability. A sample is called
+suspicious when its posterior reaches the decision threshold; exact ties
+go to suspicious, the costlier class to miss.
 
 Models persist as JSON holding only integer counts plus the smoothing
 value, so a save/load round trip reproduces posteriors bit-for-bit.
@@ -24,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import ClassLabel
-from .detectors import FeatureMatrix, FeatureVector
+from .detectors import FeatureMatrix
 from .errors import ModelError
+from .ranking import ContingencyTable
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -72,39 +73,32 @@ class TrainedModel:
 @dataclass(frozen=True)
 class Prediction:
     sample_id: str
-    posterior: float            # P(suspicious | vector)
+    posterior: float            # P(suspicious | row)
     decision: ClassLabel
     score: float                # log2 posterior odds of suspicious vs benign
 
 
 def train(
-    matrix: FeatureMatrix,
-    selection,
+    tables: list[ContingencyTable],
+    names: tuple[str, ...],
     alpha: float = 1.0,
     catalog_mode: str | None = None,
 ) -> TrainedModel:
-    """Fit priors and per-feature conditionals on a fully labeled matrix."""
-    names = tuple(selection.names) if hasattr(selection, "names") else tuple(selection)
-    missing = [n for n in names if n not in matrix.feature_names]
+    """Fit priors and per-feature conditionals from ``build_contingency``'s tables."""
+    by_name = {t.feature: t for t in tables}
+    missing = [n for n in names if n not in by_name]
     if missing:
-        raise ModelError(f"selected features missing from matrix: {', '.join(missing)}")
-    unlabeled = [matrix.ids[i] for i, lab in enumerate(matrix.labels) if lab is None]
-    if unlabeled:
-        raise ModelError(f"training matrix contains unlabeled rows: {', '.join(unlabeled[:5])}")
-
-    cols = [matrix.feature_names.index(n) for n in names]
-    sus_mask = np.array([lab is ClassLabel.SUSPICIOUS for lab in matrix.labels])
-    n_sus = int(sus_mask.sum())
-    n_ben = len(matrix) - n_sus
-    sub = matrix.bits[:, cols]
+        raise ModelError(f"selected features have no contingency table: {', '.join(missing)}")
+    chosen = [by_name[n] for n in names]
+    n_sus, n_ben = (tables[0].n_sus, tables[0].n_ben) if tables else (0, 0)
     return TrainedModel(
-        feature_names=names,
+        feature_names=tuple(names),
         n_benign=n_ben,
         n_suspicious=n_sus,
-        pos_benign=tuple(int(v) for v in sub[~sus_mask].sum(axis=0)),
-        pos_suspicious=tuple(int(v) for v in sub[sus_mask].sum(axis=0)),
+        pos_benign=tuple(t.n_pos_ben for t in chosen),
+        pos_suspicious=tuple(t.n_pos_sus for t in chosen),
         alpha=alpha,
-        catalog_mode=catalog_mode if catalog_mode is not None else matrix.mode,
+        catalog_mode=catalog_mode,
     )
 
 
@@ -151,7 +145,7 @@ def posterior_matrix(model: TrainedModel, matrix: FeatureMatrix) -> np.ndarray:
     return _posteriors(_log_joints(model, matrix))
 
 
-def classify_matrix(
+def classify(
     model: TrainedModel, matrix: FeatureMatrix, threshold: float = 0.5
 ) -> list[Prediction]:
     """Predictions for every row: suspicious iff the posterior reaches
@@ -166,20 +160,6 @@ def classify_matrix(
         Prediction(sample_id, p, ClassLabel.SUSPICIOUS if p >= threshold else ClassLabel.BENIGN, s)
         for sample_id, p, s in zip(matrix.ids, _posteriors(joints).tolist(), scores.tolist())
     ]
-
-
-def _one_row(vector: FeatureVector) -> FeatureMatrix:
-    return FeatureMatrix((vector.sample_id,), (None,), vector.names, vector.bits.reshape(1, -1))
-
-
-def posterior(model: TrainedModel, vector: FeatureVector) -> float:
-    """P(suspicious | vector), computed in log space then normalized."""
-    return float(posterior_matrix(model, _one_row(vector))[0])
-
-
-def classify(model: TrainedModel, vector: FeatureVector, threshold: float = 0.5) -> Prediction:
-    """Decide suspicious iff the posterior reaches ``threshold`` (ties suspicious)."""
-    return classify_matrix(model, _one_row(vector), threshold)[0]
 
 
 def save_model(model: TrainedModel, path: Path | str) -> None:

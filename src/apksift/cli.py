@@ -214,10 +214,11 @@ def _cmd_rank(args) -> int:
 
 def _cmd_train(args) -> int:
     matrix = _load_labeled_matrix(args)
-    ranked = ranking.rank_features(ranking.build_contingency(matrix))
+    tables = ranking.build_contingency(matrix)
+    ranked = ranking.rank_features(tables)
     sel = _selection_args(args)
     selection = ranking.select_top(ranked, preset=sel["preset"], n=sel["top_n"])
-    model = classifier_mod.train(matrix, selection, alpha=args.alpha, catalog_mode=args.mode)
+    model = classifier_mod.train(tables, selection.names, alpha=args.alpha, catalog_mode=args.mode)
     classifier_mod.save_model(model, args.out)
     print(f"trained on {len(matrix)} samples, {len(selection.names)} features -> {args.out}")
     return 0
@@ -232,7 +233,7 @@ def _cmd_classify(args) -> int:
     with open(args.out, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["app_id", "posterior", "score", "decision"])
-        for pred in classifier_mod.classify_matrix(model, matrix, threshold=args.threshold):
+        for pred in classifier_mod.classify(model, matrix, threshold=args.threshold):
             writer.writerow(
                 [pred.sample_id, f"{pred.posterior:.6f}", f"{pred.score:.6f}", pred.decision.value]
             )

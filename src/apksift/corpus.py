@@ -165,8 +165,8 @@ class Corpus:
 
 def _read_labels(labels_path: Path) -> dict[str, ClassLabel]:
     try:
-        text = labels_path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
+        text = labels_path.read_text(encoding="utf-8-sig", errors="surrogateescape")
+    except OSError as exc:
         raise CorpusError(f"cannot read labels file {labels_path}: {exc}") from exc
     reader = csv.reader(text.splitlines())
     rows = list(reader)

@@ -1,4 +1,4 @@
-"""Detector engine: run a catalog over samples to build binary feature vectors.
+"""Detector engine: run a catalog over samples to build binary feature rows.
 
 Matching contracts, per feature kind:
 
@@ -62,19 +62,6 @@ _ANDROID_NS = "http://schemas.android.com/apk/res/android"
 _NAME_ATTR_RE = re.compile(r'android:name\s*=\s*"([^"]*)"')
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Ordered binary indicators for one sample, in catalog index order."""
-
-    sample_id: str
-    names: tuple[str, ...]
-    bits: np.ndarray
-
-    def __post_init__(self):
-        if len(self.bits) != len(self.names):
-            raise ValueError("bit count does not match feature count")
-
-
 @dataclass
 class SampleStats:
     sample_id: str
@@ -104,7 +91,7 @@ class ExtractionStats:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Per-sample vectors stacked in corpus order, with labels attached."""
+    """Per-sample rows stacked in corpus order, with labels attached."""
 
     ids: tuple[str, ...]
     labels: tuple[ClassLabel | None, ...]
@@ -114,9 +101,6 @@ class FeatureMatrix:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def vector(self, row: int) -> FeatureVector:
-        return FeatureVector(self.ids[row], self.feature_names, self.bits[row])
 
 
 def declared_permissions(manifest_text: str) -> tuple[set[str], list[str]]:
@@ -181,8 +165,8 @@ def extract_features(
     sample: AppSample,
     catalog: FeatureCatalog,
     max_file_bytes: int = DEFAULT_MAX_FILE_BYTES,
-) -> tuple[FeatureVector, SampleStats]:
-    """Run every catalog detector over one sample.
+) -> tuple[bytes, SampleStats]:
+    """Run every catalog detector over one sample: one 0/1 byte per catalog feature.
 
     Files of a scope are read only while some feature still searches that
     scope, and each feature stops at its first match, so a permission-only
@@ -228,9 +212,7 @@ def extract_features(
                 pending = [d for d in pending if not bits[d.index]]
 
     duration_ms = (time.perf_counter() - start) * 1000.0
-    vector = FeatureVector(sample.id, catalog.names, np.frombuffer(bits, dtype=np.uint8))
-    stats = SampleStats(sample.id, duration_ms, scanned, warnings)
-    return vector, stats
+    return bytes(bits), SampleStats(sample.id, duration_ms, scanned, warnings)
 
 
 def extract_corpus(
@@ -243,24 +225,19 @@ def extract_corpus(
         raise CorpusError("cannot extract with an empty catalog")
 
     results = [extract_features(s, catalog, max_file_bytes) for s in corpus.samples]
-
-    bits = (
-        np.stack([v.bits for v, _ in results])
-        if results
-        else np.zeros((0, len(catalog)), dtype=np.uint8)
-    )
+    rows = b"".join(row for row, _ in results)
     matrix = FeatureMatrix(
         ids=tuple(s.id for s in corpus.samples),
         labels=tuple(s.label for s in corpus.samples),
         feature_names=catalog.names,
-        bits=bits,
+        bits=np.frombuffer(rows, np.uint8).reshape(len(results), len(catalog)),
         mode=catalog.mode,
     )
     return matrix, ExtractionStats(per_sample=[st for _, st in results])
 
 
 def write_matrix_csv(matrix: FeatureMatrix, path: Path | str) -> None:
-    """Vector matrix file: header ``app_id,label,<feature names>``, LF endings."""
+    """Matrix file: header ``app_id,label,<feature names>``, LF endings."""
     with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["app_id", "label", *matrix.feature_names])

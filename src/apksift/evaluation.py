@@ -39,6 +39,9 @@ from .rng import SplitMix64
 
 REPORT_SCHEMA_VERSION = 1
 
+#: Cross-validation calls a test row suspicious iff its posterior reaches this.
+THRESHOLD = 0.5
+
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -255,10 +258,9 @@ def _fit_and_score(
 
     Returns (model, selection, test posteriors).
     """
-    train_matrix = _rows(matrix, train_rows)
-    ranked = rank_features(build_contingency(train_matrix))
-    selection = select_top(ranked, preset=preset, n=top_n)
-    model = train(train_matrix, selection, alpha=alpha)
+    tables = build_contingency(_rows(matrix, train_rows))
+    selection = select_top(rank_features(tables), preset=preset, n=top_n)
+    model = train(tables, selection.names, alpha=alpha, catalog_mode=matrix.mode)
     return model, selection, posterior_matrix(model, _rows(matrix, test_rows)).tolist()
 
 
@@ -269,7 +271,6 @@ def cross_validate(
     alpha: float = 1.0,
     k: int = 5,
     seed: int = 0,
-    threshold: float = 0.5,
 ) -> EvalReport:
     """Leakage-free k-fold evaluation: ranking and training see only the
     training portion of each fold; metrics average across folds and all
@@ -294,7 +295,7 @@ def cross_validate(
         )
         truths = [matrix.labels[r] for r in test_rows]
         decisions = [
-            ClassLabel.SUSPICIOUS if p >= threshold else ClassLabel.BENIGN for p in posteriors
+            ClassLabel.SUSPICIOUS if p >= THRESHOLD else ClassLabel.BENIGN for p in posteriors
         ]
         counts = _tally(truths, decisions)
         fold_results.append(
@@ -316,7 +317,7 @@ def cross_validate(
         "alpha": alpha,
         "folds": k,
         "seed": seed,
-        "threshold": threshold,
+        "threshold": THRESHOLD,
         "fold_shuffle": "splitmix64-fisher-yates-roundrobin",
         "roc_aggregation": "pooled",
     }
@@ -434,8 +435,9 @@ def emit_report(
     return written
 
 
-def roc_svg(curve: RocCurve, size: int = 480, margin: int = 50) -> str:
-    """Standalone SVG plot of the ROC curve (FPR 0-1 vs TPR 0-1)."""
+def roc_svg(curve: RocCurve) -> str:
+    """Standalone 480-pixel SVG plot of the ROC curve (FPR 0-1 vs TPR 0-1)."""
+    size, margin = 480, 50
     span = size - 2 * margin
 
     def sx(fpr: float) -> float:

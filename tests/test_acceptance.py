@@ -11,13 +11,15 @@ import json
 import random
 import time
 
+import numpy as np
 import pytest
 
 from apksift.catalog import data_table_path, load_catalog
+from apksift.classifier import posterior_matrix
 from apksift.cli import main, time_extraction_settings
 from apksift.corpus import ClassLabel, load_corpus
 from apksift.corpusgen import FrequencyEntry, FrequencySpec, generate, spec_from_table
-from apksift.detectors import extract_corpus
+from apksift.detectors import FeatureMatrix, extract_corpus
 from apksift.evaluation import (
     ConfusionCounts,
     cross_validate,
@@ -29,7 +31,7 @@ from apksift.ranking import build_contingency
 from apksift.rng import SplitMix64
 
 from published_values import TABLE4, TABLE5, TABLE6, TABLE6_ORDER, ZERO_CELL_FEATURES
-from test_classifier import linear_space_posterior, random_model, vector_of
+from test_classifier import linear_space_posterior, random_model
 from test_evaluation import pair_count_auc
 
 BEN, SUS = ClassLabel.BENIGN, ClassLabel.SUSPICIOUS
@@ -134,18 +136,21 @@ def test_frequency_recovery(tmp_path_factory, catalog_m):
 
 def test_posterior_oracle_equivalence():
     """Log-space posterior equals linear-space brute force within 1e-12 for
-    100 random models over every vector of up to 8 features."""
-    from apksift.classifier import posterior
-
+    100 random models over every vector of up to 8 features, each model's
+    vectors scored as one matrix."""
     rng = random.Random(2025)
     for _ in range(100):
         n = rng.randint(1, 8)
         model = random_model(rng, n)
-        for bits in itertools.product((0, 1), repeat=n):
-            vec = vector_of(bits)
-            assert posterior(model, vec) == pytest.approx(
-                linear_space_posterior(model, bits), abs=1e-12
-            )
+        vectors = list(itertools.product((0, 1), repeat=n))
+        matrix = FeatureMatrix(
+            ids=tuple(str(i) for i in range(len(vectors))),
+            labels=(None,) * len(vectors),
+            feature_names=model.feature_names,
+            bits=np.array(vectors, dtype=np.uint8),
+        )
+        for bits, p in zip(vectors, posterior_matrix(model, matrix).tolist()):
+            assert p == pytest.approx(linear_space_posterior(model, bits), abs=1e-12)
     _passed("posterior oracle equivalence (100 models, all vectors)")
 
 

@@ -9,17 +9,15 @@ import pytest
 from apksift.classifier import (
     TrainedModel,
     classify,
-    classify_matrix,
     load_model,
-    posterior,
     posterior_matrix,
     save_model,
     train,
 )
 from apksift.corpus import ClassLabel
-from apksift.detectors import FeatureMatrix, FeatureVector
+from apksift.detectors import FeatureMatrix
 from apksift.errors import ModelError
-from apksift.ranking import FeatureSelection
+from apksift.ranking import build_contingency
 
 
 def linear_space_posterior(model: TrainedModel, bits) -> float:
@@ -49,8 +47,13 @@ def random_model(rng: random.Random, n_features: int) -> TrainedModel:
 
 
 def vector_of(bits, names=None):
+    """A one-row matrix holding ``bits``."""
     names = names or tuple(f"f{i}" for i in range(len(bits)))
-    return FeatureVector("x", tuple(names), np.array(bits, dtype=np.uint8))
+    return FeatureMatrix(("x",), (None,), tuple(names), np.array([bits], dtype=np.uint8))
+
+
+def posterior(model: TrainedModel, bits) -> float:
+    return float(posterior_matrix(model, vector_of(bits))[0])
 
 
 def test_log_space_matches_linear_oracle_exhaustively():
@@ -59,8 +62,7 @@ def test_log_space_matches_linear_oracle_exhaustively():
         n = rng.randint(1, 8)
         model = random_model(rng, n)
         for bits in itertools.product((0, 1), repeat=n):
-            vec = vector_of(bits)
-            assert posterior(model, vec) == pytest.approx(
+            assert posterior(model, bits) == pytest.approx(
                 linear_space_posterior(model, bits), abs=1e-12
             )
 
@@ -80,7 +82,7 @@ def test_decision_matches_argmax_oracle():
             expected = (
                 ClassLabel.SUSPICIOUS if joint_sus >= joint_ben else ClassLabel.BENIGN
             )
-            assert classify(model, vector_of(bits)).decision is expected
+            assert classify(model, vector_of(bits))[0].decision is expected
 
 
 # --- train ---------------------------------------------------------------------
@@ -94,9 +96,13 @@ def _matrix(rows, labels, names=("f0",)):
     )
 
 
+def _train(m, names, **kwargs):
+    return train(build_contingency(m), names, **kwargs)
+
+
 def test_train_hand_case():
     m = _matrix([[0], [1]], [ClassLabel.BENIGN, ClassLabel.SUSPICIOUS])
-    model = train(m, FeatureSelection(("f0",), "custom-1"), alpha=1.0)
+    model = _train(m, ("f0",), alpha=1.0)
     assert model.priors == (0.5, 0.5)
     assert model.theta(ClassLabel.BENIGN)[0] == pytest.approx(1 / 3)
     assert model.theta(ClassLabel.SUSPICIOUS)[0] == pytest.approx(2 / 3)
@@ -120,7 +126,7 @@ def test_alpha_zero_reproduces_raw_frequencies():
     m = _matrix([[1], [0], [1], [1]],
                 [ClassLabel.BENIGN, ClassLabel.BENIGN,
                  ClassLabel.SUSPICIOUS, ClassLabel.SUSPICIOUS])
-    model = train(m, ["f0"], alpha=0.0)
+    model = _train(m, ["f0"], alpha=0.0)
     assert model.theta(ClassLabel.BENIGN)[0] == 0.5
     assert model.theta(ClassLabel.SUSPICIOUS)[0] == 1.0
 
@@ -128,19 +134,12 @@ def test_alpha_zero_reproduces_raw_frequencies():
 def test_train_unknown_feature_fatal():
     m = _matrix([[0], [1]], [ClassLabel.BENIGN, ClassLabel.SUSPICIOUS])
     with pytest.raises(ModelError, match="nope"):
-        train(m, ["nope"])
+        _train(m, ["nope"])
 
 
-def test_train_single_class_fatal():
-    m = _matrix([[0], [1]], [ClassLabel.BENIGN, ClassLabel.BENIGN])
-    with pytest.raises(ModelError):
-        train(m, ["f0"])
-
-
-def test_train_unlabeled_fatal():
-    m = _matrix([[0], [1]], [ClassLabel.BENIGN, None])
-    with pytest.raises(ModelError, match="unlabeled"):
-        train(m, ["f0"])
+def test_train_without_tables_fatal():
+    with pytest.raises(ModelError, match="each class"):
+        train([], ())
 
 
 # --- posterior / classify ---------------------------------------------------------
@@ -157,7 +156,7 @@ def _symmetric_model(n=3):
 def test_symmetric_model_posterior_half():
     model = _symmetric_model()
     for bits in itertools.product((0, 1), repeat=3):
-        assert posterior(model, vector_of(bits)) == pytest.approx(0.5, abs=1e-12)
+        assert posterior(model, bits) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_single_feature_bayes():
@@ -166,19 +165,19 @@ def test_single_feature_bayes():
         feature_names=("f0",), n_benign=10, n_suspicious=10,
         pos_benign=(1,), pos_suspicious=(9,), alpha=0.0,
     )
-    assert posterior(model, vector_of([1])) == pytest.approx(0.9, abs=1e-12)
+    assert posterior(model, [1]) == pytest.approx(0.9, abs=1e-12)
 
 
 def test_tie_goes_to_suspicious():
     model = _symmetric_model()
-    pred = classify(model, vector_of([0, 0, 0]))
+    [pred] = classify(model, vector_of([0, 0, 0]))
     assert pred.posterior == pytest.approx(0.5)
     assert pred.decision is ClassLabel.SUSPICIOUS
 
 
 def test_threshold_above_half_yields_benign():
     model = _symmetric_model()
-    pred = classify(model, vector_of([0, 0, 0]), threshold=0.6)
+    [pred] = classify(model, vector_of([0, 0, 0]), threshold=0.6)
     assert pred.decision is ClassLabel.BENIGN
 
 
@@ -187,7 +186,7 @@ def test_normalization():
     for _ in range(100):
         model = random_model(rng, 6)
         bits = [rng.randint(0, 1) for _ in range(6)]
-        p = posterior(model, vector_of(bits))
+        p = posterior(model, bits)
         assert 0.0 <= p <= 1.0
         # P(sus) + P(ben) = 1 by construction of the normalized posterior
         assert p + (1 - p) == pytest.approx(1.0, abs=1e-12)
@@ -200,8 +199,7 @@ def test_monotonic_in_theta_sus():
             pos_benign=(5, 5), pos_suspicious=(pos_sus, 5), alpha=1.0,
         )
 
-    vec = vector_of([1, 1])
-    posteriors = [posterior(model_with(k), vec) for k in range(0, 21, 4)]
+    posteriors = [posterior(model_with(k), [1, 1]) for k in range(0, 21, 4)]
     assert all(b >= a for a, b in zip(posteriors, posteriors[1:]))
 
 
@@ -209,7 +207,7 @@ def test_permutation_invariance():
     rng = random.Random(11)
     model = random_model(rng, 5)
     bits = [1, 0, 1, 1, 0]
-    p_before = posterior(model, vector_of(bits))
+    p_before = posterior(model, bits)
     perm = [3, 1, 4, 0, 2]
     permuted_model = TrainedModel(
         feature_names=tuple(model.feature_names[i] for i in perm),
@@ -220,14 +218,14 @@ def test_permutation_invariance():
         alpha=model.alpha,
     )
     # vector unchanged; projection is by name, so posterior must agree
-    assert posterior(permuted_model, vector_of(bits)) == pytest.approx(p_before, abs=1e-12)
+    assert posterior(permuted_model, bits) == pytest.approx(p_before, abs=1e-12)
 
 
 def test_score_is_log_odds_and_monotone():
     rng = random.Random(17)
     model = random_model(rng, 4)
     preds = [
-        classify(model, vector_of(bits))
+        classify(model, vector_of(bits))[0]
         for bits in itertools.product((0, 1), repeat=4)
     ]
     by_post = sorted(preds, key=lambda p: p.posterior)
@@ -237,9 +235,8 @@ def test_score_is_log_odds_and_monotone():
 
 def test_vector_missing_feature_fatal():
     model = _symmetric_model(2)
-    vec = FeatureVector("x", ("f0",), np.array([1], dtype=np.uint8))
     with pytest.raises(ModelError, match="f1"):
-        posterior(model, vec)
+        posterior_matrix(model, vector_of([1], names=("f0",)))
 
 
 def test_posterior_matrix_agrees_with_scalar():
@@ -249,7 +246,7 @@ def test_posterior_matrix_agrees_with_scalar():
     m = _matrix(rows, [ClassLabel.BENIGN] * 40, names=model.feature_names)
     batch = posterior_matrix(model, m)
     for i, row in enumerate(rows):
-        assert batch[i] == pytest.approx(posterior(model, vector_of(row)), abs=1e-12)
+        assert batch[i] == pytest.approx(posterior(model, row), abs=1e-12)
 
 
 def test_alpha_zero_zero_count_matches_oracle():
@@ -264,7 +261,7 @@ def test_alpha_zero_zero_count_matches_oracle():
     for i, (row, expected) in enumerate(zip(rows, (7 / 17, 1.0))):
         assert linear_space_posterior(model, row) == pytest.approx(expected, abs=1e-12)
         assert batch[i] == pytest.approx(expected, abs=1e-12)
-        assert posterior(model, vector_of(row)) == pytest.approx(expected, abs=1e-12)
+        assert posterior(model, row) == pytest.approx(expected, abs=1e-12)
 
 
 def test_both_classes_impossible_posterior_half():
@@ -272,7 +269,7 @@ def test_both_classes_impossible_posterior_half():
         feature_names=("f0", "f1"), n_benign=10, n_suspicious=10,
         pos_benign=(0, 5), pos_suspicious=(5, 0), alpha=0.0,
     )
-    pred = classify(model, vector_of([1, 1]))
+    [pred] = classify(model, vector_of([1, 1]))
     assert pred.posterior == 0.5
     assert pred.score == 0.0
 
@@ -283,25 +280,13 @@ def test_score_finite_when_posterior_rounds_to_one():
         feature_names=tuple(f"f{i}" for i in range(n)), n_benign=1000, n_suspicious=1000,
         pos_benign=(1,) * n, pos_suspicious=(999,) * n, alpha=1.0,
     )
-    pred = classify(model, vector_of([1] * n))
+    [pred] = classify(model, vector_of([1] * n))
     theta_sus = model.theta(ClassLabel.SUSPICIOUS)[0]
     theta_ben = model.theta(ClassLabel.BENIGN)[0]
     expected = n * math.log2(theta_sus / theta_ben)
     assert pred.posterior == 1.0
     assert pred.score == pytest.approx(expected, rel=1e-9)
     assert pred.score == pytest.approx(358.631, abs=1e-3)
-
-
-def test_classify_matrix_agrees_with_classify():
-    rng = random.Random(29)
-    model = random_model(rng, 5)
-    rows = [[rng.randint(0, 1) for _ in range(5)] for _ in range(40)]
-    m = _matrix(rows, [ClassLabel.BENIGN] * 40, names=model.feature_names)
-    for i, pred in enumerate(classify_matrix(model, m, threshold=0.3)):
-        one = classify(model, vector_of(rows[i]), threshold=0.3)
-        assert (pred.sample_id, pred.decision) == (m.ids[i], one.decision)
-        assert pred.posterior == one.posterior
-        assert pred.score == pytest.approx(one.score, abs=1e-12)
 
 
 # --- persistence ---------------------------------------------------------------
@@ -315,12 +300,12 @@ def test_save_load_roundtrip_bit_identical(tmp_path):
     assert loaded == model
     for _ in range(100):
         bits = [rng.randint(0, 1) for _ in range(6)]
-        assert posterior(loaded, vector_of(bits)) == posterior(model, vector_of(bits))
+        assert posterior(loaded, bits) == posterior(model, bits)
 
 
 def test_model_file_numbers_are_integers(tmp_path):
     m = _matrix([[0], [1]], [ClassLabel.BENIGN, ClassLabel.SUSPICIOUS])
-    model = train(m, ["f0"], alpha=1.0)
+    model = _train(m, ["f0"], alpha=1.0)
     path = tmp_path / "model.json"
     save_model(model, path)
     payload = json.loads(path.read_text())
@@ -360,7 +345,7 @@ def test_positive_count_outside_class_size_fatal(pos_ben, pos_sus):
 def test_hand_edited_model_count_fatal(tmp_path):
     m = _matrix([[0], [1]], [ClassLabel.BENIGN, ClassLabel.SUSPICIOUS])
     path = tmp_path / "model.json"
-    save_model(train(m, ["f0"], alpha=1.0), path)
+    save_model(_train(m, ["f0"], alpha=1.0), path)
     payload = json.loads(path.read_text())
     payload["features"][0]["count_pos_sus"] = 12
     path.write_text(json.dumps(payload))

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -109,12 +110,34 @@ def test_classify_scores_corpus_in_one_call(tmp_path, small_corpus, monkeypatch)
     assert main(["train", "--corpus", str(root), "--labels", str(labels),
                  "--top", "1", "--out", str(model_path)]) == 0
     calls = []
-    real = classifier.classify_matrix
-    monkeypatch.setattr(classifier, "classify_matrix",
+    real = classifier.classify
+    monkeypatch.setattr(classifier, "classify",
                         lambda *a, **kw: calls.append(len(a[1])) or real(*a, **kw))
     assert main(["classify", "--corpus", str(root), "--model", str(model_path),
                  "--out", str(tmp_path / "preds.csv")]) == 0
     assert calls == [12]
+
+
+def test_model_counts_equal_ranking_counts(tmp_path):
+    table = tmp_path / "counts.csv"
+    table.write_text("feature,benign_count,malware_count\n"
+                     "READ_SMS,2,9\nchmod,1,7\nINTERNET,8,6\n", encoding="utf-8")
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--table", str(table), "--benign", "10", "--malware", "12",
+                 "--seed", "5", "--out", str(corpus)]) == 0
+    common = ["--corpus", str(corpus), "--labels", str(corpus / "labels.csv"), "--mode", "M"]
+    rank_csv, model_json = tmp_path / "rank.csv", tmp_path / "model.json"
+    assert main(["rank", *common, "--out", str(rank_csv)]) == 0
+    assert main(["train", *common, "--top", "5", "--out", str(model_json)]) == 0
+    with open(rank_csv, encoding="utf-8", newline="") as fh:
+        ranked = {r["feature"]: (int(r["benign_count"]), int(r["malware_count"]))
+                  for r in csv.DictReader(fh)}
+    model = json.loads(model_json.read_text())
+    assert model["class_counts"] == {"benign": 10, "suspicious": 12}
+    assert len(model["features"]) == 5
+    for f in model["features"]:
+        assert (f["count_pos_ben"], f["count_pos_sus"]) == ranked[f["name"]], f["name"]
+    assert ranked["READ_SMS"] == (2, 9) and ranked["INTERNET"] == (8, 6)
 
 
 def test_evaluate_separable_and_deterministic(tmp_path, small_corpus):
@@ -239,3 +262,26 @@ def test_extract_and_classify_non_utf8_names(tmp_path, small_corpus):
                  "--out", str(preds)]) == 0
     rows = [line.split(b",") for line in preds.read_bytes().splitlines()]
     assert [(r[0], r[3]) for r in rows[1:]] == [(b"ok", b"suspicious"), (b"\xff", b"suspicious")]
+
+
+def test_evaluate_labels_non_utf8_names(tmp_path):
+    # Label rows are read with the same surrogate escapes as directory
+    # names, so a sample whose name is not UTF-8 can be labeled.
+    root = os.fsencode(tmp_path / "corpus")
+    rows, chmod = [b"app_id,label"], b'    const-string v0, "chmod"\n'
+    for i in range(6):
+        for app, label, code in ((b"ben%d" % i, b"benign", b""),
+                                 (b"\xff%d" % i, b"suspicious", chmod)):
+            smali = os.path.join(root, app, b"smali")
+            os.makedirs(smali)
+            with open(os.path.join(smali, b"A.smali"), "wb") as fh:
+                fh.write(code)
+            rows.append(app + b"," + label)
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(b"\n".join(rows) + b"\n")
+    out = tmp_path / "report"
+    assert main(["evaluate", "--corpus", os.fsdecode(root), "--labels", str(labels),
+                 "--top", "1", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["averaged"]["acc"] == 1.0
+    assert {tuple(f["selected_features"]) for f in report["folds"]} == {("chmod",)}

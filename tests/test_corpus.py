@@ -77,9 +77,11 @@ def test_labels_with_byte_order_mark(tmp_path):
 
 
 def test_labels_not_utf8_is_corpus_error(tmp_path):
+    # The undecodable id is kept surrogate-escaped, like a directory name,
+    # and no directory has that name.
     labels = tmp_path / "labels.csv"
     labels.write_bytes(b"app_id,label\n\xff,benign\n")
-    with pytest.raises(CorpusError, match="cannot read labels file"):
+    with pytest.raises(CorpusError, match="label rows reference missing app directories"):
         load_corpus(tmp_path, labels)
 
 

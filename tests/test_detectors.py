@@ -17,27 +17,31 @@ from apksift.detectors import (
 from conftest import Listing, manifest_with, write_labels, write_sample
 
 
+CATALOG_M = load_catalog("builtin", "M")
+
+
 @pytest.fixture(scope="module")
 def cat():
-    return load_catalog("builtin", "M")
+    return CATALOG_M
 
 
-def _bit(vector, name):
-    return int(vector.bits[vector.names.index(name)])
+def _bit(row, name):
+    """One feature's byte in a row that ``extract_features`` returned over ``cat``."""
+    return row[CATALOG_M.names.index(name)]
 
 
 def _extract_one(root, cat, **layout):
     """Bits of a one-sample corpus laid out by ``write_sample``."""
     write_sample(root, "a", **layout)
-    vector, _ = extract_features(load_corpus(root).samples[0], cat)
-    return vector
+    row, _ = extract_features(load_corpus(root).samples[0], cat)
+    return row
 
 
 # --- permission matching --------------------------------------------------------
 
 def test_detect_permission_hit(tmp_path, cat):
-    vector = _extract_one(tmp_path, cat, manifest=manifest_with("READ_CONTACTS"))
-    assert _bit(vector, "READ_CONTACTS") == 1
+    row = _extract_one(tmp_path, cat, manifest=manifest_with("READ_CONTACTS"))
+    assert _bit(row, "READ_CONTACTS") == 1
 
 
 def test_detect_permission_comment_does_not_count(tmp_path, cat):
@@ -64,8 +68,8 @@ def test_detect_permission_exact_name(tmp_path, cat):
 def test_detect_permission_malformed_xml_fallback(tmp_path, cat):
     broken = '<manifest><uses-permission android:name="android.permission.READ_SMS">'
     write_sample(tmp_path, "a", manifest=broken)
-    vector, stats = extract_features(load_corpus(tmp_path).samples[0], cat)
-    assert _bit(vector, "READ_SMS") == 1
+    row, stats = extract_features(load_corpus(tmp_path).samples[0], cat)
+    assert _bit(row, "READ_SMS") == 1
     assert any("malformed manifest XML" in w for w in stats.warnings)
 
 
@@ -103,19 +107,19 @@ def test_case_sensitive_matching(tmp_path, cat):
 # --- payload-extension matching ----------------------------------------------------
 
 def test_payload_apk(tmp_path, cat):
-    vector = _extract_one(tmp_path, cat, payloads=["assets/update.apk"])
-    assert _bit(vector, ".apk") == 1
+    row = _extract_one(tmp_path, cat, payloads=["assets/update.apk"])
+    assert _bit(row, ".apk") == 1
 
 
 def test_payload_none(tmp_path, cat):
-    vector = _extract_one(tmp_path, cat, manifest=manifest_with())
-    assert _bit(vector, ".apk") == 0
+    row = _extract_one(tmp_path, cat, manifest=manifest_with())
+    assert _bit(row, ".apk") == 0
 
 
 def test_payload_jar_not_apk(tmp_path, cat):
-    vector = _extract_one(tmp_path, cat, payloads=["res/raw/lib.jar"])
-    assert _bit(vector, ".jar") == 1
-    assert _bit(vector, ".apk") == 0
+    row = _extract_one(tmp_path, cat, payloads=["res/raw/lib.jar"])
+    assert _bit(row, ".jar") == 1
+    assert _bit(row, ".apk") == 0
 
 
 # --- extract_features ---------------------------------------------------------
@@ -123,16 +127,16 @@ def test_payload_jar_not_apk(tmp_path, cat):
 def test_extract_permission_bit(tmp_path, cat):
     write_sample(tmp_path, "a", manifest=manifest_with("READ_SMS"))
     sample = load_corpus(tmp_path).samples[0]
-    vector, _ = extract_features(sample, cat)
-    assert _bit(vector, "READ_SMS") == 1
-    assert _bit(vector, "SEND_SMS") == 0
+    row, _ = extract_features(sample, cat)
+    assert _bit(row, "READ_SMS") == 1
+    assert _bit(row, "SEND_SMS") == 0
 
 
 def test_extract_empty_sample_all_zero(tmp_path, cat):
     (tmp_path / "a").mkdir()
     sample = load_corpus(tmp_path).samples[0]
-    vector, stats = extract_features(sample, cat)
-    assert not vector.bits.any()
+    row, stats = extract_features(sample, cat)
+    assert row == bytes(len(cat))
     assert any("manifest missing" in w for w in stats.warnings)
 
 
@@ -141,16 +145,16 @@ def test_binary_presence_not_count(tmp_path, cat):
     write_sample(tmp_path, "a", manifest=manifest_with(),
                  code={"A.smali": call, "B.smali": call})
     sample = load_corpus(tmp_path).samples[0]
-    vector, _ = extract_features(sample, cat)
-    assert _bit(vector, "getSubscriberId") == 1
+    row, _ = extract_features(sample, cat)
+    assert _bit(row, "getSubscriberId") == 1
 
 
 def test_manifest_missing_still_scans_code(tmp_path, cat):
     write_sample(tmp_path, "a", code={"A.smali": '    const-string v0, "chmod"\n'})
     sample = load_corpus(tmp_path).samples[0]
-    vector, stats = extract_features(sample, cat)
-    assert _bit(vector, "chmod") == 1
-    assert all(b == 0 for b in vector.bits[:131])  # permission block zeroed
+    row, stats = extract_features(sample, cat)
+    assert _bit(row, "chmod") == 1
+    assert not any(row[:131])  # permission block zeroed
     assert stats.warnings
 
 
@@ -160,17 +164,17 @@ def test_native_lib_byte_scan(tmp_path, cat):
     lib.parent.mkdir(parents=True)
     lib.write_bytes(b"\x7fELF\x00\x00/system/bin/sh\x00\xff")
     sample = load_corpus(tmp_path).samples[0]
-    vector, _ = extract_features(sample, cat)
-    assert _bit(vector, "/system/bin/sh") == 1
-    assert _bit(vector, "/system/bin") == 1  # substring of the longer path
+    row, _ = extract_features(sample, cat)
+    assert _bit(row, "/system/bin/sh") == 1
+    assert _bit(row, "/system/bin") == 1  # substring of the longer path
 
 
 def test_file_size_cap_skips_with_warning(tmp_path, cat):
     write_sample(tmp_path, "a", manifest=manifest_with(),
                  code={"A.smali": '    const-string v0, "chmod"\n'})
     sample = load_corpus(tmp_path).samples[0]
-    vector, stats = extract_features(sample, cat, max_file_bytes=8)
-    assert _bit(vector, "chmod") == 0
+    row, stats = extract_features(sample, cat, max_file_bytes=8)
+    assert _bit(row, "chmod") == 0
     assert any("cap" in w for w in stats.warnings)
 
 
@@ -181,7 +185,7 @@ def test_monotonicity_adding_file_keeps_bits(tmp_path, cat):
     before, _ = extract_features(sample, cat)
     write_sample(tmp_path, "a", code={"B.smali": '    const-string v0, "remount"\n'})
     after, _ = extract_features(sample, cat)
-    assert np.all(after.bits >= before.bits)
+    assert all(a >= b for a, b in zip(after, before))
 
 
 def test_scope_isolation(tmp_path, cat):
@@ -194,13 +198,13 @@ def test_scope_isolation(tmp_path, cat):
     write_sample(tmp_path, "a", manifest=manifest_with("READ_SMS", "SEND_SMS"))
     changed, _ = extract_features(sample, cat)
     code_idx = [d.index for d in cat if d.kind != "permission"]
-    assert np.array_equal(changed.bits[code_idx], base.bits[code_idx])
+    assert [changed[i] for i in code_idx] == [base[i] for i in code_idx]
 
     # code-only change: permission bits unchanged
     write_sample(tmp_path, "a", code={"C.smali": '    const-string v0, "mount"\n'})
     changed2, _ = extract_features(sample, cat)
     perm_idx = [d.index for d in cat if d.kind == "permission"]
-    assert np.array_equal(changed2.bits[perm_idx], changed.bits[perm_idx])
+    assert [changed2[i] for i in perm_idx] == [changed[i] for i in perm_idx]
 
 
 def test_mode_projection_consistency(tmp_path, cat):
@@ -225,8 +229,8 @@ def test_extract_corpus_determinism(tmp_path, cat):
     m2, _ = extract_corpus(corpus, cat)
     assert np.array_equal(m1.bits, m2.bits)
     assert m1.ids == m2.ids
-    rows = [extract_features(s, cat)[0].bits for s in corpus.samples]
-    assert np.array_equal(m1.bits, np.stack(rows))
+    rows = [extract_features(s, cat)[0] for s in corpus.samples]
+    assert m1.bits.tobytes() == b"".join(rows)
 
 
 def test_extract_empty_corpus(tmp_path, cat):
@@ -265,8 +269,8 @@ def test_deep_code_tree_extracts(tmp_path, cat):
     deep = chain[-1] / "Deep.smali"
     deep.write_text("invoke-virtual {v0}, getDeviceId\n", encoding="utf-8")
     try:
-        vector, stats = extract_features(load_corpus(tmp_path).samples[0], cat)
-        assert _bit(vector, "getDeviceId") == 1
+        row, stats = extract_features(load_corpus(tmp_path).samples[0], cat)
+        assert _bit(row, "getDeviceId") == 1
         assert stats.files_scanned["code"] == 2
     finally:
         # Remove the chain bottom-up: shutil.rmtree recurses and would
@@ -289,9 +293,9 @@ def test_links_under_code_scope(tmp_path, cat):
     os.symlink(outside, d / "smali" / "linked")
     os.symlink(d / "smali" / "loop", d / "smali" / "loop")
     os.mkfifo(d / "smali" / "pipe.smali")
-    vector, stats = extract_features(load_corpus(tmp_path / "corpus").samples[0], cat)
-    assert _bit(vector, "chmod") == 0
-    assert _bit(vector, "getDeviceId") == 0
+    row, stats = extract_features(load_corpus(tmp_path / "corpus").samples[0], cat)
+    assert _bit(row, "chmod") == 0
+    assert _bit(row, "getDeviceId") == 0
     assert stats.files_scanned["code"] == 1
     assert stats.warnings == [
         "a: skipped smali/Link.smali (link)",
@@ -313,8 +317,8 @@ def test_unreadable_code_unit_skipped(tmp_path, cat, monkeypatch):
         return real_open(path, *args, **kwargs)
 
     monkeypatch.setattr(os, "open", flaky_open)
-    vector, stats = extract_features(sample, cat)
-    assert (_bit(vector, "chmod"), _bit(vector, "getDeviceId"), _bit(vector, "remount")) == (1, 0, 1)
+    row, stats = extract_features(sample, cat)
+    assert (_bit(row, "chmod"), _bit(row, "getDeviceId"), _bit(row, "remount")) == (1, 0, 1)
     assert stats.files_scanned["code"] == 2
     assert len(stats.warnings) == 1
     assert stats.warnings[0].startswith("a: unreadable file smali/B.smali: ")
@@ -419,9 +423,9 @@ def test_matrix_csv_roundtrip(tmp_path, cat):
 
 def test_manifest_over_cap_skipped(tmp_path, cat):
     write_sample(tmp_path, "a", manifest=manifest_with("READ_SMS"), code={"A.smali": "chmod\n"})
-    vector, stats = extract_features(load_corpus(tmp_path).samples[0], cat, max_file_bytes=64)
-    assert _bit(vector, "READ_SMS") == 0
-    assert _bit(vector, "chmod") == 1
+    row, stats = extract_features(load_corpus(tmp_path).samples[0], cat, max_file_bytes=64)
+    assert _bit(row, "READ_SMS") == 0
+    assert _bit(row, "chmod") == 1
     assert stats.files_scanned["manifest"] == 0
     assert stats.warnings == ["a: manifest exceeds 64 byte cap; permission features zeroed"]
 
@@ -438,7 +442,7 @@ def test_listing_order_does_not_matter(tmp_path, cat, monkeypatch):
         os.symlink(d / "smali" / "z" / "A.smali", d / rel)
     os.mkfifo(d / "smali" / "m" / "pipe")
     sample = load_corpus(tmp_path).samples[0]
-    forward_vector, forward = extract_features(sample, cat)
+    forward_row, forward = extract_features(sample, cat)
     real_scandir = os.scandir
 
     def reversed_scandir(path):
@@ -446,8 +450,8 @@ def test_listing_order_does_not_matter(tmp_path, cat, monkeypatch):
             return Listing(list(it)[::-1])
 
     monkeypatch.setattr(os, "scandir", reversed_scandir)
-    backward_vector, backward = extract_features(sample, cat)
-    assert np.array_equal(forward_vector.bits, backward_vector.bits)
+    backward_row, backward = extract_features(sample, cat)
+    assert forward_row == backward_row
     assert forward.files_scanned == backward.files_scanned
     assert forward.warnings == backward.warnings == [
         "a: skipped smali/a/L2.smali (link)",
@@ -455,4 +459,4 @@ def test_listing_order_does_not_matter(tmp_path, cat, monkeypatch):
         "a: skipped smali/z/L1.smali (link)",
         "a: skipped assets/L3.apk (link)",
     ]
-    assert _bit(forward_vector, ".apk") == 0
+    assert _bit(forward_row, ".apk") == 0

@@ -17,7 +17,6 @@ import shutil
 import tempfile
 from unittest import mock
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -136,8 +135,8 @@ def _extract(sample, listing_order):
 
     with mock.patch.object(os, "open", recording_open), \
             mock.patch.object(os, "scandir", recording_scandir):
-        vector, stats = extract_features(sample, CATALOG, max_file_bytes=CAP)
-    return vector, stats, opened, listed
+        row, stats = extract_features(sample, CATALOG, max_file_bytes=CAP)
+    return row, stats, opened, listed
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None,
@@ -157,9 +156,9 @@ def test_extraction_over_hostile_trees(manifest, linked_tops, tree):
             assert all(flags & os.O_NOFOLLOW for _, flags in opened), opened
             assert all(_reaches_no_link(app, p, final_may_link=True) for p, _ in opened), opened
             assert all(_reaches_no_link(app, p, final_may_link=False) for p in listed), listed
-        assert np.array_equal(forward[0].bits, backward[0].bits)
+        assert forward[0] == backward[0]
         assert forward[1].warnings == backward[1].warnings
         assert forward[1].files_scanned == backward[1].files_scanned
-        assert forward[0].bits.tolist() == reference_bits(str(sample.directory), CATALOG, CAP)
+        assert list(forward[0]) == reference_bits(str(sample.directory), CATALOG, CAP)
     finally:
         shutil.rmtree(base)
