@@ -135,14 +135,18 @@ def _load_corpus(args):
     return corpus
 
 
-def _load_labeled_matrix(args):
-    cat = catalog_mod.load_catalog(args.catalog, args.mode)
+def _extract(args, mode=None, labeled_only=False):
+    """Load the catalog and corpus and extract, printing every warning to stderr."""
+    cat = catalog_mod.load_catalog(args.catalog, mode or args.mode)
     corpus = _load_corpus(args)
     unlabeled = corpus.label_counts["unlabeled"]
-    if unlabeled:
+    if labeled_only and unlabeled:
         print(f"note: ignoring {unlabeled} unlabeled sample(s)", file=sys.stderr)
         corpus = _labeled_only(corpus)
-    return detectors.extract_corpus(corpus, cat)[0]
+    matrix, stats = detectors.extract_corpus(corpus, cat)
+    for warning in stats.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return matrix, stats
 
 
 def _labeled_only(corpus):
@@ -191,21 +195,17 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    cat = catalog_mod.load_catalog(args.catalog, args.mode)
-    corpus = _load_corpus(args)
-    matrix, stats = detectors.extract_corpus(corpus, cat)
+    matrix, stats = _extract(args)
     detectors.write_matrix_csv(matrix, args.out)
     if args.stats:
         detectors.write_stats_csv(stats, args.stats)
-    for warning in stats.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    print(f"extracted {len(matrix)} x {len(cat)} matrix -> {args.out} "
+    print(f"extracted {len(matrix)} x {len(matrix.feature_names)} matrix -> {args.out} "
           f"({stats.total_duration_ms:.1f} ms)")
     return 0
 
 
 def _cmd_rank(args) -> int:
-    matrix = _load_labeled_matrix(args)
+    matrix, _ = _extract(args, labeled_only=True)
     ranked = ranking.rank_features(ranking.build_contingency(matrix))
     ranking.write_ranking_csv(ranked, args.out)
     print(f"ranked {len(ranked)} features -> {args.out}")
@@ -213,7 +213,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    matrix = _load_labeled_matrix(args)
+    matrix, _ = _extract(args, labeled_only=True)
     tables = ranking.build_contingency(matrix)
     ranked = ranking.rank_features(tables)
     sel = _selection_args(args)
@@ -226,10 +226,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_classify(args) -> int:
     model = classifier_mod.load_model(args.model)
-    mode = model.catalog_mode or args.mode
-    cat = catalog_mod.load_catalog(args.catalog, mode)
-    corpus = _load_corpus(args)
-    matrix, _ = detectors.extract_corpus(corpus, cat)
+    matrix, _ = _extract(args, model.catalog_mode)
     with open(args.out, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["app_id", "posterior", "score", "decision"])
@@ -242,7 +239,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    matrix = _load_labeled_matrix(args)
+    matrix, _ = _extract(args, labeled_only=True)
     report = evaluation.cross_validate(
         matrix,
         **_selection_args(args),

@@ -16,6 +16,7 @@ directory-listing order, and names need not be valid UTF-8. Every tree is
 hostile: one walk that never follows a link lists a sample's files,
 skipping links, FIFOs, sockets and devices with a warning, and one capped
 reader reads them, the manifest included (members through ``AppSample.read``).
+``AppSample.directory`` is a plain ``str`` path (root joined with the id).
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def scope_of(relative_path: str) -> Scope:
 PATH_KEY = methodcaller("encode", "utf-8", "surrogateescape")
 
 
-def _read_capped(path: Path | str, cap: int) -> bytes | None:
+def _read_capped(path: str, cap: int) -> bytes | None:
     """Bytes of the regular file (never a final link) at ``path``; None above ``cap``."""
     fd = os.open(path, _OPEN_FLAGS)
     try:
@@ -105,7 +106,7 @@ class AppSample:
 
     id: str
     label: ClassLabel | None
-    directory: Path
+    directory: str
 
     def member_files(self, tops: tuple[str, ...],
                      warnings: list[str] | None = None) -> list[tuple[str, Scope]]:
@@ -168,8 +169,7 @@ def _read_labels(labels_path: Path) -> dict[str, ClassLabel]:
         text = labels_path.read_text(encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise CorpusError(f"cannot read labels file {labels_path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
-    rows = list(reader)
+    rows = list(csv.reader(text.splitlines()))
     if not rows:
         return {}
     header = [h.strip() for h in rows[0]]
@@ -183,7 +183,7 @@ def _read_labels(labels_path: Path) -> dict[str, ClassLabel]:
             continue
         if len(row) < 2:
             raise CorpusError(f"labels file line {lineno}: expected 'app_id,label', got {row!r}")
-        app_id, label_text = row[0].strip(), row[1].strip()
+        app_id, label_text = row[0], row[1].strip()  # ids are compared as written
         try:
             label = ClassLabel(label_text)
         except ValueError:
@@ -223,7 +223,7 @@ def load_corpus(root: Path | str, labels: Path | str | None = None) -> Corpus:
         )
 
     samples = tuple(
-        AppSample(id=app_id, label=label_map.get(app_id), directory=root / app_id)
+        AppSample(id=app_id, label=label_map.get(app_id), directory=os.path.join(root, app_id))
         for app_id in dir_ids
     )
     counts = {
@@ -241,7 +241,7 @@ def read_manifest(sample: AppSample, max_file_bytes: int = DEFAULT_MAX_FILE_BYTE
     refuses it (a link, a special file or over ``max_file_bytes``).
     """
     try:
-        data = _read_capped(sample.directory / MANIFEST_NAME, max_file_bytes)
+        data = _read_capped(os.path.join(sample.directory, MANIFEST_NAME), max_file_bytes)
     except FileNotFoundError:
         raise ManifestMissing(sample.id) from None
     except OSError as exc:

@@ -4,9 +4,10 @@ Matching contracts, per feature kind:
 
 * permission        - exact match of a ``<uses-permission>`` element's
                       ``android:name`` attribute against
-                      ``android.permission.<NAME>`` in the manifest.
-                      Malformed XML falls back to an attribute-string
-                      scan of the raw text (recorded as a warning).
+                      ``android.permission.<NAME>`` in the manifest,
+                      scanned by expat without a tree. Malformed XML falls
+                      back to an attribute-string scan of the raw text,
+                      warned with the stdlib etree parser's error text.
 * api-call, string-token, system-command, shell-path, intent-action
                     - case-sensitive literal substring of a single line
                       of file text in the feature's scopes; compound
@@ -39,9 +40,9 @@ from __future__ import annotations
 import csv
 import re
 import time
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
+from xml.parsers import expat
 
 import numpy as np
 
@@ -60,6 +61,8 @@ from .errors import CorpusError, ManifestMissing
 
 _ANDROID_NS = "http://schemas.android.com/apk/res/android"
 _NAME_ATTR_RE = re.compile(r'android:name\s*=\s*"([^"]*)"')
+_SCOPE_VALUES = tuple(s.value for s in Scope)
+_BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass
@@ -107,21 +110,34 @@ def declared_permissions(manifest_text: str) -> tuple[set[str], list[str]]:
     """Attribute values of all uses-permission elements, plus warnings.
 
     Well-formed XML is parsed properly (comments don't count); malformed
-    documents degrade to a regex scan over android:name attributes.
+    documents degrade to a regex scan over android:name attributes. As in
+    etree, after a DOCTYPE each entity reference expat leaves unexpanded
+    (undefined, or external) makes the document malformed.
     """
+    names = set()
+
+    def start(tag, attrs):
+        if tag.rpartition("}")[2] == "uses-permission":
+            names.add(attrs.get(_ANDROID_NS + "}name") or attrs.get("android:name"))
+
+    def doctype(*_):
+        parser.CharacterDataHandler = lambda data: None  # keeps "&amp;" etc. from `unexpanded`
+        parser.DefaultHandlerExpand = unexpanded
+
+    def unexpanded(text):  # etree's message keeps the reference's first 100 bytes
+        if text[:1] == "&":
+            ref = text.encode()[:100].decode(errors="replace")
+            raise expat.ExpatError(f"undefined entity {ref}: line {parser.ErrorLineNumber}, "
+                                   f"column {parser.ErrorColumnNumber}")
+
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.StartElementHandler, parser.StartDoctypeDeclHandler = start, doctype
     try:
-        root = ET.fromstring(manifest_text)
-    except ET.ParseError as exc:
+        parser.Parse(manifest_text, True)
+    except expat.ExpatError as exc:
         names = set(_NAME_ATTR_RE.findall(manifest_text))
         return names, [f"malformed manifest XML ({exc}); fell back to attribute scan"]
-    names = set()
-    for elem in root.iter():
-        if elem.tag.split("}")[-1] != "uses-permission":
-            continue
-        value = elem.get(f"{{{_ANDROID_NS}}}name") or elem.get("android:name")
-        if value:
-            names.add(value)
-    return names, []
+    return names - {None, ""}, []
 
 
 def _hits(data: bytes, scope: Scope, pending: list[FeatureDef]) -> list[FeatureDef]:
@@ -175,7 +191,7 @@ def extract_features(
     start = time.perf_counter()
     plan = catalog.plan
     warnings: list[str] = []
-    scanned = {s.value: 0 for s in Scope}
+    scanned = dict.fromkeys(_SCOPE_VALUES, 0)
     bits = bytearray(len(catalog))
 
     if plan.permissions:
@@ -237,13 +253,15 @@ def extract_corpus(
 
 
 def write_matrix_csv(matrix: FeatureMatrix, path: Path | str) -> None:
-    """Matrix file: header ``app_id,label,<feature names>``, LF endings."""
+    """Matrix file: header ``app_id,label,<feature names>``, 0/1 cells, LF endings."""
+    text = matrix.bits.tobytes().translate(_BIT_TEXT).decode("ascii")
+    n = matrix.bits.shape[1]
     with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["app_id", "label", *matrix.feature_names])
-        for i, app_id in enumerate(matrix.ids):
-            label = matrix.labels[i].value if matrix.labels[i] is not None else ""
-            writer.writerow([app_id, label, *matrix.bits[i].tolist()])
+        writer.writerows(
+            [app_id, "" if label is None else label.value, *text[i * n:(i + 1) * n]]
+            for i, (app_id, label) in enumerate(zip(matrix.ids, matrix.labels)))
 
 
 def write_stats_csv(stats: ExtractionStats, path: Path | str) -> None:

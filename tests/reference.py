@@ -12,7 +12,8 @@ imports nothing from extraction; it reads only the catalog's data:
   on one ``str.splitlines`` line;
 * a payload extension is a suffix of a listed file's path;
 * the manifest is parsed with ElementTree, falling back to a regex over
-  ``android:name`` attributes when the XML is malformed.
+  ``android:name`` attributes when the XML is malformed, with a warning
+  that carries ElementTree's error text.
 """
 
 import os
@@ -41,14 +42,16 @@ def _read(path: str, cap: int) -> bytes | None:
         return fh.read()
 
 
-def declared_names(manifest: bytes) -> set[str]:
-    text = manifest.decode("utf-8", errors="replace")
+def declared_names(text: str) -> tuple[set[str], list[str]]:
+    """(declared permission names, warnings) of one decoded manifest."""
     try:
         root = ET.fromstring(text)
-    except ET.ParseError:
-        return set(NAME_ATTR_RE.findall(text))
-    return {e.get(ANDROID_NAME) or e.get("android:name") for e in root.iter()
-            if e.tag.rsplit("}", 1)[-1] == "uses-permission"}
+    except ET.ParseError as exc:
+        return (set(NAME_ATTR_RE.findall(text)),
+                [f"malformed manifest XML ({exc}); fell back to attribute scan"])
+    names = {e.get(ANDROID_NAME) or e.get("android:name") for e in root.iter()
+             if e.tag.rsplit("}", 1)[-1] == "uses-permission"}
+    return names - {None, ""}, []
 
 
 def listed_files(app: str) -> list[tuple[str, str, str]]:
@@ -76,7 +79,8 @@ def _content_hit(pattern: tuple[str, ...], scope: str, data: bytes) -> bool:
 def reference_bits(app: str, catalog, cap: int) -> list[int]:
     """The sample's bit per catalog feature, in catalog order."""
     manifest = _read(os.path.join(app, "AndroidManifest.xml"), cap)
-    names = declared_names(manifest) if manifest is not None else set()
+    names = (declared_names(manifest.decode("utf-8", errors="replace"))[0]
+             if manifest is not None else set())
     listed = listed_files(app)
     contents = [(scope, _read(path, cap)) for _, scope, path in listed]
     bits = []

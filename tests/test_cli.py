@@ -242,6 +242,22 @@ def test_link_at_corpus_root_warned_by_every_command(tmp_path, small_corpus, cap
     assert ids == ["app_id"] + [f"ben{i}" for i in range(6)] + [f"mal{i}" for i in range(6)]
 
 
+def test_extraction_warnings_printed_by_every_extracting_command(tmp_path, small_corpus, capsys):
+    root, labels = small_corpus
+    (root / "ben0" / "AndroidManifest.xml").write_text(manifest_with("INTERNET")[:60])
+    model = str(tmp_path / "train")
+    seen = {}
+    for argv in (["extract"], ["rank"], ["train"], ["classify", "--model", model],
+                 ["evaluate", "--top", "1"]):
+        assert main([*argv, "--corpus", str(root), "--labels", str(labels),
+                     "--out", str(tmp_path / argv[0])]) == 0
+        seen[argv[0]] = [line for line in capsys.readouterr().err.splitlines()
+                         if line.startswith("warning:")]
+    assert len(seen["extract"]) == 1
+    assert seen["extract"][0].startswith("warning: ben0: malformed manifest XML (")
+    assert all(lines == seen["extract"] for lines in seen.values()), seen
+
+
 def test_extract_and_classify_non_utf8_names(tmp_path, small_corpus):
     root, labels = small_corpus
     model = tmp_path / "model.json"

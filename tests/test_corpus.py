@@ -85,6 +85,19 @@ def test_labels_not_utf8_is_corpus_error(tmp_path):
         load_corpus(tmp_path, labels)
 
 
+def test_label_ids_compared_as_written(tmp_path):
+    write_sample(tmp_path, " a", manifest=manifest_with())
+    write_sample(tmp_path, "b ", manifest=manifest_with())
+    labels = tmp_path / "labels.csv"
+    labels.write_text(" app_id , label \n a, suspicious\nb ,benign \n", encoding="utf-8")
+    corpus = load_corpus(tmp_path, labels)
+    assert [(s.id, s.label) for s in corpus] == [
+        (" a", ClassLabel.SUSPICIOUS), ("b ", ClassLabel.BENIGN)]
+    stripped = write_labels(tmp_path, [("a", "suspicious")], name="stripped.csv")
+    with pytest.raises(CorpusError, match="missing app directories: a$"):
+        load_corpus(tmp_path, stripped)
+
+
 def test_load_corpus_missing_root():
     with pytest.raises(CorpusError):
         load_corpus("/nonexistent/corpus/root")

@@ -1,4 +1,6 @@
+import csv
 import errno
+import io
 import os
 
 import numpy as np
@@ -6,8 +8,10 @@ import pytest
 
 from apksift import detectors
 from apksift.catalog import load_catalog, subset_catalog
-from apksift.corpus import load_corpus
+from apksift.corpus import ClassLabel, load_corpus
 from apksift.detectors import (
+    FeatureMatrix,
+    declared_permissions,
     extract_corpus,
     extract_features,
     write_matrix_csv,
@@ -15,6 +19,7 @@ from apksift.detectors import (
 )
 
 from conftest import Listing, manifest_with, write_labels, write_sample
+from reference import declared_names
 
 
 CATALOG_M = load_catalog("builtin", "M")
@@ -71,6 +76,52 @@ def test_detect_permission_malformed_xml_fallback(tmp_path, cat):
     row, stats = extract_features(load_corpus(tmp_path).samples[0], cat)
     assert _bit(row, "READ_SMS") == 1
     assert any("malformed manifest XML" in w for w in stats.warnings)
+
+
+_NS = 'xmlns:android="http://schemas.android.com/apk/res/android"'
+_USES = '<uses-permission android:name="android.permission.{}"/>'
+
+
+def _manifest(body, head=""):
+    return f"{head}<manifest {_NS}>{body}</manifest>"
+
+
+_EXTERNAL_DTD = '<!DOCTYPE manifest SYSTEM "manifest.dtd">'
+
+ORACLE_MANIFESTS = {
+    "comment": _manifest("<!-- " + _USES.format("A") + " -->" + _USES.format("B")),
+    "unbound prefix": _manifest('<uses-permission x:name="android.permission.A"/>'),
+    "truncated": _manifest(_USES.format("A"))[:-5],
+    "junk after root": _manifest(_USES.format("A")) + "<extra/>",
+    "nul byte": _manifest(_USES.format("A") + "\x00"),
+    "internal entity": _manifest(
+        '<uses-permission android:name="&p;"/>',
+        '<!DOCTYPE manifest [<!ENTITY p "android.permission.READ_SMS">]>'),
+    "recursive entity": _manifest(
+        "&a;", '<!DOCTYPE manifest [<!ENTITY a "&b;"><!ENTITY b "&a;">]>'),
+    "undefined entity": _manifest(_USES.format("A") + "&foo;"),
+    "undefined entity, external DOCTYPE": _manifest(_USES.format("A") + "\n &foo;", _EXTERNAL_DTD),
+    "undefined long entity, external DOCTYPE": _manifest("&" + "\u00e9" * 60 + ";", _EXTERNAL_DTD),
+    "predefined and character references, external DOCTYPE": _manifest(
+        "a &amp; &#65;" + _USES.format("A"), _EXTERNAL_DTD),
+    "declared external entity": _manifest(
+        "&e;" + _USES.format("A"), '<!DOCTYPE manifest [<!ENTITY e SYSTEM "e.xml">]>'),
+    "parameter entity": _manifest(
+        "&foo;", '<!DOCTYPE manifest [<!ENTITY % pe SYSTEM "pe.dtd"> %pe;]>'),
+    "latin-1 declaration": '<?xml version="1.0" encoding="latin-1"?>'
+                           + _manifest(_USES.format("\u00e9")),
+    "utf-16 declaration": '<?xml version="1.0" encoding="utf-16"?>'
+                          + _manifest(_USES.format("\u00e9")),
+    "empty text": "",
+    "foreign-prefixed uses-permission": _manifest(
+        '<f:uses-permission xmlns:f="urn:f" android:name="android.permission.A"/>'
+        '<uses-permission android:name=""/><uses-permission/>'),
+}
+
+
+@pytest.mark.parametrize("text", ORACLE_MANIFESTS.values(), ids=ORACLE_MANIFESTS.keys())
+def test_declared_permissions_matches_elementtree(text):
+    assert declared_permissions(text) == declared_names(text)
 
 
 # --- code-property matching -------------------------------------------------------
@@ -417,6 +468,35 @@ def test_matrix_csv_roundtrip(tmp_path, cat):
     stats_out = tmp_path / "stats.csv"
     write_stats_csv(stats, stats_out)
     assert stats_out.read_text().splitlines()[0] == "app_id,duration_ms,files_scanned,warnings"
+
+
+def _per_row_csv(matrix):
+    """The matrix file as one ``csv.writer`` row per sample, ints as ints."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["app_id", "label", *matrix.feature_names])
+    for app_id, label, row in zip(matrix.ids, matrix.labels, matrix.bits.tolist()):
+        writer.writerow([app_id, label.value if label is not None else "", *row])
+    return out.getvalue().encode("utf-8", "surrogateescape")
+
+
+@pytest.mark.parametrize("ids, n_features", [
+    (("a,b", 'q"uote', "cr\r", "lf\n", " edge ", "\udcff", "plain"), 3),
+    ((), 2),
+    (("x", "y"), 1),
+])
+def test_matrix_csv_matches_per_row_writer(tmp_path, ids, n_features):
+    rng = np.random.default_rng(len(ids))
+    labels = [ClassLabel.BENIGN, None, ClassLabel.SUSPICIOUS]
+    matrix = FeatureMatrix(
+        ids=ids,
+        labels=tuple(labels[i % 3] for i in range(len(ids))),
+        feature_names=tuple(f"f,{i}" for i in range(n_features)),
+        bits=rng.integers(0, 2, (len(ids), n_features), dtype=np.uint8),
+    )
+    out = tmp_path / "matrix.csv"
+    write_matrix_csv(matrix, out)
+    assert out.read_bytes() == _per_row_csv(matrix)
 
 
 # --- hostile trees ---------------------------------------------------------------
