@@ -3,10 +3,10 @@
 Training reads the contingency tables ranking already took: class priors
 from the class sizes and, for every selected feature, the probability of
 seeing the bit set in each class with additive smoothing:
-theta = (positives + alpha) / (class size + 2*alpha). Scoring has one
-vectorized implementation over a whole matrix: the log joints of the two
-classes (the likelihood product underflows past a few dozen features
-otherwise), normalized back to a probability. A sample is called
+theta = (positives + alpha) / (class size + 2*alpha). Scoring follows one
+written rule over a whole matrix (``_scores``): log joints (the likelihood
+product underflows otherwise) summed left to right with libm's log and
+exp, so no posterior bit depends on the CPU. A sample is called
 suspicious when its posterior reaches the decision threshold; exact ties
 go to suspicious, the costlier class to miss.
 
@@ -42,12 +42,16 @@ class TrainedModel:
     catalog_mode: str | None = None
 
     def __post_init__(self):
+        names = self.feature_names
+        bad = [n for i, n in enumerate(names) if not isinstance(n, str) or not n or n in names[:i]]
+        if bad:
+            raise ModelError(f"feature name {bad[0]!r} is not a unique, non-empty string")
         if self.n_benign < 1 or self.n_suspicious < 1:
             raise ModelError("training requires at least one sample of each class")
         if not (len(self.feature_names) == len(self.pos_benign) == len(self.pos_suspicious)):
             raise ModelError("per-feature count arrays must match the feature list")
-        if self.alpha < 0:
-            raise ModelError("smoothing alpha must be nonnegative")
+        if not 0 <= self.alpha < math.inf:  # NaN fails the comparison too
+            raise ModelError(f"smoothing alpha must be finite and nonnegative, got {self.alpha!r}")
         for label, counts, size in (("benign", self.pos_benign, self.n_benign),
                                     ("suspicious", self.pos_suspicious, self.n_suspicious)):
             bad = [n for n, c in zip(self.feature_names, counts) if not 0 <= c <= size]
@@ -61,13 +65,11 @@ class TrainedModel:
         n = self.n_benign + self.n_suspicious
         return self.n_benign / n, self.n_suspicious / n
 
-    def theta(self, label: ClassLabel) -> np.ndarray:
+    def theta(self, label: ClassLabel) -> tuple[float, ...]:
         """P(bit=1 | class) per feature, with additive smoothing."""
-        counts, total = {
-            ClassLabel.BENIGN: (self.pos_benign, self.n_benign),
-            ClassLabel.SUSPICIOUS: (self.pos_suspicious, self.n_suspicious),
-        }[label]
-        return (np.array(counts, dtype=np.float64) + self.alpha) / (total + 2.0 * self.alpha)
+        counts, total = ((self.pos_benign, self.n_benign) if label is ClassLabel.BENIGN
+                         else (self.pos_suspicious, self.n_suspicious))
+        return tuple((c + self.alpha) / (total + 2.0 * self.alpha) for c in counts)
 
 
 @dataclass(frozen=True)
@@ -102,63 +104,55 @@ def train(
     )
 
 
-def _log_joints(model: TrainedModel, matrix: FeatureMatrix) -> np.ndarray:
-    """Unnormalized log joints per row: column 0 benign, column 1 suspicious.
+def _log(p: float) -> float:
+    return math.log(p) if p > 0 else -math.inf
 
-    A bit its class gives probability zero (only possible with alpha=0)
-    makes the row impossible for that class: the cell is masked out of the
-    matmul, since 0 * log(0) would be NaN, and the row's joint set to -inf.
+
+def _scores(model: TrainedModel, matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(posteriors, scores) of every row of a matrix, by this rule:
+
+    A class's log joint starts with log(prior) and adds, for each model
+    feature in model order, log(theta) if the bit is set or log(1 - theta)
+    if it is clear, strictly left to right; a zero probability is -inf and
+    stays -inf. With d = joint_sus - joint_ben and e = exp(-|d|), the
+    posterior P(suspicious) is 1/(1+e) if d >= 0, else e/(1+e), and the
+    score (log2 odds, still graded where the posterior rounds to 0 or 1)
+    is d / ln 2. A row that both classes rule out gets 0.5 and 0. log and
+    exp are libm's; each sum is a cumulative add, one term at a time.
     """
-    try:
-        cols = [matrix.feature_names.index(n) for n in model.feature_names]
-    except ValueError:
-        missing = [n for n in model.feature_names if n not in matrix.feature_names]
-        raise ModelError(f"input is missing model feature(s): {', '.join(missing)}") from None
-    bits = matrix.bits[:, cols].astype(np.float64)
-    off = 1.0 - bits
-    out = np.empty((len(matrix), 2), dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        for k, (prior, label) in enumerate(
-            zip(model.priors, (ClassLabel.BENIGN, ClassLabel.SUSPICIOUS))
-        ):
-            theta = model.theta(label)
-            log_on, log_off = np.log(theta), np.log(1.0 - theta)
-            dead_on, dead_off = np.isneginf(log_on), np.isneginf(log_off)
-            log_on[dead_on] = 0.0
-            log_off[dead_off] = 0.0
-            out[:, k] = np.log(prior) + bits @ log_on + off @ log_off
-            out[bits @ dead_on + off @ dead_off > 0, k] = -np.inf
-    return out
-
-
-def _posteriors(joints: np.ndarray) -> np.ndarray:
-    """Normalize log joints to P(suspicious); 0.5 where both classes are impossible."""
-    m = joints.max(axis=1, keepdims=True)
-    m[~np.isfinite(m)] = 0.0
-    expd = np.exp(joints - m)
-    denom = expd.sum(axis=1)
-    return np.where(denom > 0, expd[:, 1] / np.where(denom > 0, denom, 1.0), 0.5)
+    missing = [n for n in model.feature_names if n not in matrix.feature_names]
+    if missing:
+        raise ModelError(f"input is missing model feature(s): {', '.join(missing)}")
+    cols = [matrix.feature_names.index(n) for n in model.feature_names]
+    on = np.ones((len(matrix), 1, len(cols) + 1), dtype=bool)  # column 0 is the prior
+    on[:, 0, 1:] = matrix.bits[:, cols]
+    classes = [(_log(prior), model.theta(label)) for prior, label
+               in zip(model.priors, (ClassLabel.BENIGN, ClassLabel.SUSPICIOUS))]
+    log_on = np.array([[lp, *map(_log, theta)] for lp, theta in classes])
+    log_off = np.array([[lp, *(_log(1.0 - t) for t in theta)] for lp, theta in classes])
+    joints = np.cumsum(np.where(on, log_on, log_off), axis=2)[:, :, -1]
+    with np.errstate(invalid="ignore"):
+        d = joints[:, 1] - joints[:, 0]  # NaN where both classes are ruled out
+    e = np.fromiter(map(math.exp, (-np.abs(d)).tolist()), np.float64, len(d))
+    ruled_out = np.isnan(d)
+    posteriors = np.where(ruled_out, 0.5, np.where(d >= 0, 1.0, e) / (1.0 + e))
+    return posteriors, np.where(ruled_out, 0.0, d / math.log(2))
 
 
 def posterior_matrix(model: TrainedModel, matrix: FeatureMatrix) -> np.ndarray:
     """P(suspicious | row) for every row of a matrix."""
-    return _posteriors(_log_joints(model, matrix))
+    return _scores(model, matrix)[0]
 
 
 def classify(
     model: TrainedModel, matrix: FeatureMatrix, threshold: float = 0.5
 ) -> list[Prediction]:
     """Predictions for every row: suspicious iff the posterior reaches
-    ``threshold`` (ties suspicious); the score is the log2 odds taken
-    straight from the log joints, so it stays finite when the posterior
-    rounds to 0 or 1."""
-    joints = _log_joints(model, matrix)
-    with np.errstate(invalid="ignore"):
-        scores = (joints[:, 1] - joints[:, 0]) / math.log(2)
-    scores[np.isnan(scores)] = 0.0  # both classes impossible: no evidence either way
+    ``threshold`` (ties suspicious), with the rule's log2-odds score."""
+    posteriors, scores = _scores(model, matrix)
     return [
         Prediction(sample_id, p, ClassLabel.SUSPICIOUS if p >= threshold else ClassLabel.BENIGN, s)
-        for sample_id, p, s in zip(matrix.ids, _posteriors(joints).tolist(), scores.tolist())
+        for sample_id, p, s in zip(matrix.ids, posteriors.tolist(), scores.tolist())
     ]
 
 

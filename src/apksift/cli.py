@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 import time
 
@@ -35,6 +36,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit 2; usage errors are 1 here
         self.print_usage(sys.stderr)
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
+
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _probability(text: str) -> float:
+    if not 0 <= (value := float(text)) <= 1:  # NaN fails the comparison too
+        raise argparse.ArgumentTypeError(f"not a probability in [0, 1]: {text!r}")
+    return value
 
 
 def _add_corpus_args(p: argparse.ArgumentParser, labels_required: bool = False):
@@ -93,14 +106,14 @@ def build_parser() -> _Parser:
     _add_corpus_args(p, labels_required=True)
     _add_catalog_args(p)
     _add_selection_args(p)
-    p.add_argument("--alpha", type=float, default=1.0, help="additive smoothing")
+    p.add_argument("--alpha", type=_finite, default=1.0, help="additive smoothing")
     p.add_argument("--out", required=True, help="output model JSON path")
 
     p = sub.add_parser("classify", help="score a corpus with a saved model")
     _add_corpus_args(p)
     _add_catalog_args(p)
     p.add_argument("--model", required=True, help="model JSON from 'train'")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_probability, default=0.5)
     p.add_argument("--out", required=True, help="output prediction CSV path")
 
     p = sub.add_parser(
@@ -113,7 +126,7 @@ def build_parser() -> _Parser:
     _add_corpus_args(p, labels_required=True)
     _add_catalog_args(p)
     _add_selection_args(p)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_finite, default=1.0)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv", "all"), default="all",
@@ -128,10 +141,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _warn(warnings) -> None:
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+
+
 def _load_corpus(args):
     corpus = load_corpus(args.corpus, args.labels)
-    for warning in corpus.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    _warn(corpus.warnings)
     return corpus
 
 
@@ -144,8 +161,7 @@ def _extract(args, mode=None, labeled_only=False):
         print(f"note: ignoring {unlabeled} unlabeled sample(s)", file=sys.stderr)
         corpus = _labeled_only(corpus)
     matrix, stats = detectors.extract_corpus(corpus, cat)
-    for warning in stats.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    _warn(stats.warnings)
     return matrix, stats
 
 
@@ -158,9 +174,11 @@ def _labeled_only(corpus):
 def time_extraction_settings(corpus, catalog: str = "builtin") -> list[tuple[str, int, float]]:
     """(setting, feature count, seconds) rows timing extraction of a labeled corpus
     with the top 25 features of one untimed full ranking, permissions only, code
-    properties only and the full mixed catalog, in that order."""
+    properties only and the full mixed catalog, in that order. The untimed
+    extraction's warnings are printed to stderr."""
     full = catalog_mod.load_catalog(catalog, "M")
-    matrix, _ = detectors.extract_corpus(corpus, full)
+    matrix, stats = detectors.extract_corpus(corpus, full)
+    _warn(stats.warnings)
     top25 = ranking.select_top(ranking.rank_features(ranking.build_contingency(matrix)), n=25)
     settings = [
         ("25 top mixed attributes", catalog_mod.subset_catalog(full, top25.names)),
@@ -264,8 +282,7 @@ def _cmd_bench(args) -> int:
         writer.writerow(["attributes_setting", "features", "extraction_time_s"])
         for label, n_features, seconds in rows:
             writer.writerow([label, n_features, f"{seconds:.3f}"])
-    for label, n_features, seconds in rows:
-        print(f"{label:38s} {n_features:4d} features  {seconds:8.3f} s")
+            print(f"{label:38s} {n_features:4d} features  {seconds:8.3f} s")
     print(f"wrote {args.out}")
     return 0
 

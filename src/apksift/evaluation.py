@@ -110,19 +110,8 @@ class EvalReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def confusion(predictions, labels: dict[str, ClassLabel]) -> ConfusionCounts:
-    """Cross-tabulate predictions against ground-truth labels by sample id."""
-    truths, decisions = [], []
-    for pred in predictions:
-        truth = labels.get(pred.sample_id)
-        if truth is None:
-            raise EvaluationError(f"prediction for {pred.sample_id!r} has no ground-truth label")
-        truths.append(truth)
-        decisions.append(pred.decision)
-    return _tally(truths, decisions)
-
-
-def _tally(truths: list[ClassLabel], decisions: list[ClassLabel]) -> ConfusionCounts:
+def confusion(truths: list[ClassLabel], decisions: list[ClassLabel]) -> ConfusionCounts:
+    """Cross-tabulate decisions against the ground-truth labels in the same order."""
     n_bb = n_bs = n_sb = n_ss = 0
     for truth, decided in zip(truths, decisions):
         if truth is ClassLabel.BENIGN:
@@ -297,7 +286,7 @@ def cross_validate(
         decisions = [
             ClassLabel.SUSPICIOUS if p >= THRESHOLD else ClassLabel.BENIGN for p in posteriors
         ]
-        counts = _tally(truths, decisions)
+        counts = confusion(truths, decisions)
         fold_results.append(
             FoldResult(
                 fold=fold_index,

@@ -14,8 +14,13 @@ imports nothing from extraction; it reads only the catalog's data:
 * the manifest is parsed with ElementTree, falling back to a regex over
   ``android:name`` attributes when the XML is malformed, with a warning
   that carries ElementTree's error text.
+
+It also holds ``nb_scores``, the naive-Bayes scoring rule of the
+``classifier`` docstring written out one row and one term at a time with
+``math``; it reads a model's counts and imports nothing from the classifier.
 """
 
+import math
 import os
 import re
 import stat
@@ -95,3 +100,30 @@ def reference_bits(app: str, catalog, cap: int) -> list[int]:
                       for scope, data in contents)
         bits.append(int(hit))
     return bits
+
+
+def _log(p: float) -> float:
+    return math.log(p) if p > 0 else -math.inf
+
+
+def nb_scores(model, rows) -> list[tuple[float, float]]:
+    """(posterior, score) per row of 0/1 bits in model feature order."""
+    n = model.n_benign + model.n_suspicious
+    classes = [(model.n_benign / n, model.pos_benign, model.n_benign),
+               (model.n_suspicious / n, model.pos_suspicious, model.n_suspicious)]
+    out = []
+    for row in rows:
+        joints = []
+        for prior, counts, size in classes:
+            joint = _log(prior)
+            for bit, count in zip(row, counts):
+                theta = (count + model.alpha) / (size + 2.0 * model.alpha)
+                joint += _log(theta) if bit else _log(1.0 - theta)
+            joints.append(joint)
+        d = joints[1] - joints[0]
+        if math.isnan(d):
+            out.append((0.5, 0.0))
+            continue
+        e = math.exp(-abs(d))
+        out.append((1.0 / (1.0 + e) if d >= 0 else e / (1.0 + e), d / math.log(2)))
+    return out

@@ -19,6 +19,8 @@ from apksift.detectors import FeatureMatrix
 from apksift.errors import ModelError
 from apksift.ranking import build_contingency
 
+from reference import nb_scores
+
 
 def linear_space_posterior(model: TrainedModel, bits) -> float:
     """Independent oracle: evaluate the posterior ratio directly in linear
@@ -83,6 +85,27 @@ def test_decision_matches_argmax_oracle():
                 ClassLabel.SUSPICIOUS if joint_sus >= joint_ben else ClassLabel.BENIGN
             )
             assert classify(model, vector_of(bits))[0].decision is expected
+
+
+def test_scores_equal_the_written_rule_bit_for_bit():
+    """posterior_matrix and classify give exactly the reference rule's
+    floats: zero and full counts with alpha 0 rule classes out, and 40
+    features make a BLAS or pairwise sum round differently."""
+    rng = random.Random(2026)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        n_ben, n_sus = rng.randint(1, 50), rng.randint(1, 50)
+
+        def counts(size):
+            return tuple(rng.choice((0, size, rng.randint(0, size))) for _ in range(n))
+
+        model = TrainedModel(tuple(f"f{i}" for i in range(n)), n_ben, n_sus, counts(n_ben),
+                             counts(n_sus), rng.choice((0.0, 0.5, 1.0, 2.0)))
+        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(30)]
+        m = _matrix(rows, [ClassLabel.BENIGN] * len(rows), names=model.feature_names)
+        expected = nb_scores(model, rows)
+        assert posterior_matrix(model, m).tolist() == [p for p, _ in expected]
+        assert [(p.posterior, p.score) for p in classify(model, m)] == expected
 
 
 # --- train ---------------------------------------------------------------------
@@ -340,6 +363,22 @@ def test_missing_schema_version_fatal(tmp_path):
 def test_positive_count_outside_class_size_fatal(pos_ben, pos_sus):
     with pytest.raises(ModelError, match="f0"):
         TrainedModel(("f0",), 10, 10, pos_ben, pos_sus, 1.0)
+
+
+@pytest.mark.parametrize("names", [("f0", "f0"), ("",), (["f0"],), (None,)])
+def test_feature_names_unique_non_empty_strings(names):
+    n = len(names)
+    with pytest.raises(ModelError, match="not a unique, non-empty string"):
+        TrainedModel(names, 10, 10, (1,) * n, (1,) * n, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+def test_alpha_finite_and_nonnegative(alpha):
+    with pytest.raises(ModelError, match="alpha"):
+        TrainedModel(("f0",), 10, 10, (1,), (1,), alpha)
+    m = _matrix([[0], [1]], [ClassLabel.BENIGN, ClassLabel.SUSPICIOUS])
+    with pytest.raises(ModelError, match="alpha"):
+        _train(m, ["f0"], alpha=alpha)
 
 
 def test_hand_edited_model_count_fatal(tmp_path):

@@ -140,6 +140,64 @@ def test_model_counts_equal_ranking_counts(tmp_path):
     assert ranked["READ_SMS"] == (2, 9) and ranked["INTERNET"] == (8, 6)
 
 
+def _edited_model(tmp_path, small_corpus, edit):
+    root, labels = small_corpus
+    path = tmp_path / "model.json"
+    assert main(["train", "--corpus", str(root), "--labels", str(labels),
+                 "--top", "2", "--out", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _classify_error(tmp_path, small_corpus, model, capsys):
+    capsys.readouterr()
+    code = main(["classify", "--corpus", str(small_corpus[0]), "--model", str(model),
+                 "--out", str(tmp_path / "preds.csv")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert [line for line in err if not line.startswith("warning:")] == err[-1:]
+    return err[-1]
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_classify_non_finite_model_alpha_data_error(tmp_path, small_corpus, capsys, alpha):
+    model = _edited_model(tmp_path, small_corpus, lambda m: m.update(alpha=alpha))
+    line = _classify_error(tmp_path, small_corpus, model, capsys)
+    assert line.startswith("apksift: error:") and "alpha" in line
+
+
+def test_classify_duplicated_model_feature_data_error(tmp_path, small_corpus, capsys):
+    model = _edited_model(tmp_path, small_corpus,
+                          lambda m: m["features"].append(m["features"][0]))
+    line = _classify_error(tmp_path, small_corpus, model, capsys)
+    assert line.startswith("apksift: error:") and "unique" in line
+
+
+def test_classify_list_feature_name_data_error(tmp_path, small_corpus, capsys):
+    model = _edited_model(tmp_path, small_corpus,
+                          lambda m: m["features"][0].update(name=["chmod"]))
+    line = _classify_error(tmp_path, small_corpus, model, capsys)
+    assert line.startswith("apksift: error:") and "['chmod']" in line
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_non_finite_alpha_usage_error(tmp_path, small_corpus, capsys, command):
+    root, labels = small_corpus
+    assert _systemexit_code([command, "--corpus", str(root), "--labels", str(labels),
+                             "--alpha", "nan", "--out", str(tmp_path / "out")]) == 1
+    assert "argument --alpha: not a finite number: 'nan'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "2", "-0.1"])
+def test_threshold_outside_unit_interval_usage_error(tmp_path, small_corpus, capsys, threshold):
+    code = _systemexit_code(["classify", "--corpus", str(small_corpus[0]), "--model", "m.json",
+                             "--threshold", threshold, "--out", str(tmp_path / "preds.csv")])
+    assert code == 1
+    assert "argument --threshold: not a probability in [0, 1]" in capsys.readouterr().err
+
+
 def test_evaluate_separable_and_deterministic(tmp_path, small_corpus):
     root, labels = small_corpus
     out1 = tmp_path / "r1"
@@ -256,6 +314,19 @@ def test_extraction_warnings_printed_by_every_extracting_command(tmp_path, small
     assert len(seen["extract"]) == 1
     assert seen["extract"][0].startswith("warning: ben0: malformed manifest XML (")
     assert all(lines == seen["extract"] for lines in seen.values()), seen
+
+
+def test_bench_prints_extraction_warnings(tmp_path, small_corpus, capsys):
+    root, labels = small_corpus
+    (root / "ben0" / "AndroidManifest.xml").write_text(manifest_with("INTERNET")[:60])
+    seen = {}
+    for argv in (["extract", "--mode", "M"], ["bench"]):
+        assert main([*argv, "--corpus", str(root), "--labels", str(labels),
+                     "--out", str(tmp_path / argv[0])]) == 0
+        seen[argv[0]] = [line for line in capsys.readouterr().err.splitlines()
+                         if line.startswith("warning:")]
+    assert len(seen["extract"]) == 1
+    assert seen["bench"] == seen["extract"]
 
 
 def test_extract_and_classify_non_utf8_names(tmp_path, small_corpus):

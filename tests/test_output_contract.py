@@ -7,7 +7,9 @@ Any change to a matrix, ranking, model or report byte fails here; a
 deliberate format change must record new digests and say why.
 
 The predictions CSV of ``classify`` is not pinned here; its posteriors
-and scores are checked against oracles in test_classifier.py.
+and scores are checked against oracles in test_classifier.py. The report
+is also rebuilt in subprocesses under other BLAS kernels and numpy SIMD
+paths, and must come out byte-identical.
 
 A second, hand-built corpus pins extraction itself: matrix bytes, warning
 texts and per-scope file counts (see the extraction contract below).
@@ -15,9 +17,14 @@ texts and per-scope file counts (see the extraction contract below).
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import apksift
 from apksift.catalog import (
     builtin_catalog,
     data_table_path,
@@ -39,9 +46,9 @@ FROZEN_SHA256 = {
     "matrix.csv": "777b0c2f69d7e6f5e9f92173d59c1c7573ce2174bbfc1552d59422752bb3a01a",
     "rank.csv": "b1e4f8d79156886dd332f80e5bce52429eb2cb884297ff57ee257e0ab3ed7851",
     "model.json": "4119c1d7c846f20b4a2fdfd6eadb86213a072788f1bb11718f601561e268317f",
-    "report/report.json": "0525c4cbb076e86fcbd7d8a1e5aa7ea6d76049bd4ca04757480e17a1646227cf",
+    "report/report.json": "034b8d92c8f11c3c5bbf22b6b55d828905de8ac0124cc3c2d417b20ff8721346",
     "report/metrics.csv": "17f7c0028a9ebb8ba3717e35754a75b72da1b490a2ec4cd2a202fbacfdee1bf0",
-    "report/roc.csv": "f2c47d5a83300e46343d85d934630e57efabaff8bd3649cb7177c32ecb90249f",
+    "report/roc.csv": "181b685d0937697e36f49ddf03646b23f209d2b1eda21396f997486abbd0d2d6",
     "report/roc.svg": "6bce3e05dcc9f21c17a8ef358bbfbf7958162b25890158ea2f2793471eae0aba",
 }
 
@@ -69,6 +76,39 @@ def outputs(tmp_path_factory):
 def test_output_bytes_frozen(outputs, name):
     digest = hashlib.sha256((outputs / name).read_bytes()).hexdigest()
     assert digest == FROZEN_SHA256[name], f"{name} changed"
+
+
+# Settings that change how numpy and OpenBLAS compute. Never name a baseline
+# feature such as X86_V2 in NPY_DISABLE_CPU_FEATURES: numpy then refuses to import.
+CPU_SETTINGS = (
+    {},
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4"},
+)
+
+
+def test_report_bytes_do_not_depend_on_the_cpu(outputs):
+    corpus = outputs / "corpus"
+    src = str(Path(apksift.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "apksift.cli", "evaluate", "--corpus", str(corpus),
+             "--labels", str(corpus / "labels.csv"), "--mode", "M", "--features", "15f",
+             "--seed", str(SEED), "--out", str(outputs / f"cpu-{i}")],
+            env={**os.environ, **setting, "PYTHONPATH": path},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        for i, setting in enumerate(CPU_SETTINGS)
+    ]
+    for setting, run in zip(CPU_SETTINGS, runs):
+        _, err = run.communicate(timeout=120)
+        assert run.returncode == 0, (setting, err.decode())
+    expected = {p.name: p.read_bytes() for p in (outputs / "report").iterdir()}
+    for i, setting in enumerate(CPU_SETTINGS):
+        got = {p.name: p.read_bytes() for p in (outputs / f"cpu-{i}").iterdir()}
+        assert got == expected, setting
 
 
 # --- extraction contract --------------------------------------------------------
