@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .catalog import MODES
 from .corpus import ClassLabel
 from .detectors import FeatureMatrix
 from .errors import ModelError
@@ -52,6 +53,8 @@ class TrainedModel:
             raise ModelError("per-feature count arrays must match the feature list")
         if not 0 <= self.alpha < math.inf:  # NaN fails the comparison too
             raise ModelError(f"smoothing alpha must be finite and nonnegative, got {self.alpha!r}")
+        if self.catalog_mode not in (None, *MODES):
+            raise ModelError(f"catalog mode {self.catalog_mode!r} is not one of {MODES} or null")
         for label, counts, size in (("benign", self.pos_benign, self.n_benign),
                                     ("suspicious", self.pos_suspicious, self.n_suspicious)):
             bad = [n for n, c in zip(self.feature_names, counts) if not 0 <= c <= size]
@@ -108,6 +111,13 @@ def _log(p: float) -> float:
     return math.log(p) if p > 0 else -math.inf
 
 
+def feature_columns(model_names: tuple[str, ...], names: tuple[str, ...]) -> list[int]:
+    """Index in ``names`` of every model feature, in model order."""
+    if missing := [n for n in model_names if n not in names]:
+        raise ModelError(f"input is missing model feature(s): {', '.join(missing)}")
+    return [names.index(n) for n in model_names]
+
+
 def _scores(model: TrainedModel, matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(posteriors, scores) of every row of a matrix, by this rule:
 
@@ -118,21 +128,18 @@ def _scores(model: TrainedModel, matrix: FeatureMatrix) -> tuple[np.ndarray, np.
     posterior P(suspicious) is 1/(1+e) if d >= 0, else e/(1+e), and the
     score (log2 odds, still graded where the posterior rounds to 0 or 1)
     is d / ln 2. A row that both classes rule out gets 0.5 and 0. log and
-    exp are libm's; each sum is a cumulative add, one term at a time.
+    exp are libm's; each joint is a running sum, one feature's term at a time.
     """
-    missing = [n for n in model.feature_names if n not in matrix.feature_names]
-    if missing:
-        raise ModelError(f"input is missing model feature(s): {', '.join(missing)}")
-    cols = [matrix.feature_names.index(n) for n in model.feature_names]
-    on = np.ones((len(matrix), 1, len(cols) + 1), dtype=bool)  # column 0 is the prior
-    on[:, 0, 1:] = matrix.bits[:, cols]
-    classes = [(_log(prior), model.theta(label)) for prior, label
-               in zip(model.priors, (ClassLabel.BENIGN, ClassLabel.SUSPICIOUS))]
-    log_on = np.array([[lp, *map(_log, theta)] for lp, theta in classes])
-    log_off = np.array([[lp, *(_log(1.0 - t) for t in theta)] for lp, theta in classes])
-    joints = np.cumsum(np.where(on, log_on, log_off), axis=2)[:, :, -1]
+    cols = feature_columns(model.feature_names, matrix.feature_names)
+    thetas = [model.theta(label) for label in (ClassLabel.BENIGN, ClassLabel.SUSPICIOUS)]
+    # (feature, class, 1): per feature, a column of its two class terms to broadcast over rows
+    log_on = np.array([list(map(_log, theta)) for theta in thetas]).T[:, :, None]
+    log_off = np.array([[_log(1.0 - t) for t in theta] for theta in thetas]).T[:, :, None]
+    joints = np.repeat([[_log(p)] for p in model.priors], len(matrix), axis=1)  # (class, row)
+    for feature_bits, on, off in zip(matrix.bits[:, cols].T, log_on, log_off):
+        joints += np.where(feature_bits, on, off)
     with np.errstate(invalid="ignore"):
-        d = joints[:, 1] - joints[:, 0]  # NaN where both classes are ruled out
+        d = joints[1] - joints[0]  # NaN where both classes are ruled out
     e = np.fromiter(map(math.exp, (-np.abs(d)).tolist()), np.float64, len(d))
     ruled_out = np.isnan(d)
     posteriors = np.where(ruled_out, 0.5, np.where(d >= 0, 1.0, e) / (1.0 + e))
@@ -171,6 +178,12 @@ def save_model(model: TrainedModel, path: Path | str) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+def _count(value) -> int:
+    if type(value) is not int:  # JSON true is a bool, 3.7 a float, "3" a str
+        raise ValueError(f"count {value!r} is not an integer")
+    return value
+
+
 def load_model(path: Path | str) -> TrainedModel:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -189,10 +202,10 @@ def load_model(path: Path | str) -> TrainedModel:
         features = payload["features"]
         return TrainedModel(
             feature_names=tuple(f["name"] for f in features),
-            n_benign=int(payload["class_counts"]["benign"]),
-            n_suspicious=int(payload["class_counts"]["suspicious"]),
-            pos_benign=tuple(int(f["count_pos_ben"]) for f in features),
-            pos_suspicious=tuple(int(f["count_pos_sus"]) for f in features),
+            n_benign=_count(payload["class_counts"]["benign"]),
+            n_suspicious=_count(payload["class_counts"]["suspicious"]),
+            pos_benign=tuple(_count(f["count_pos_ben"]) for f in features),
+            pos_suspicious=tuple(_count(f["count_pos_sus"]) for f in features),
             alpha=float(payload["alpha"]),
             catalog_mode=payload.get("catalog_mode"),
         )

@@ -152,9 +152,13 @@ def _load_corpus(args):
     return corpus
 
 
-def _extract(args, mode=None, labeled_only=False):
-    """Load the catalog and corpus and extract, printing every warning to stderr."""
+def _extract(args, mode=None, labeled_only=False, names=None):
+    """Load the catalog and corpus and extract, printing every warning to stderr.
+    Given a model's feature ``names``, extract only those."""
     cat = catalog_mod.load_catalog(args.catalog, mode or args.mode)
+    if names is not None:
+        classifier_mod.feature_columns(names, cat.names)  # the model's error, not the catalog's
+        cat = catalog_mod.subset_catalog(cat, names)
     corpus = _load_corpus(args)
     unlabeled = corpus.label_counts["unlabeled"]
     if labeled_only and unlabeled:
@@ -244,7 +248,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_classify(args) -> int:
     model = classifier_mod.load_model(args.model)
-    matrix, _ = _extract(args, model.catalog_mode)
+    matrix, _ = _extract(args, model.catalog_mode, names=model.feature_names)
     with open(args.out, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["app_id", "posterior", "score", "decision"])

@@ -24,6 +24,7 @@ and must not be relied on.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -196,6 +197,15 @@ def _choose(pool: list[str], count: int, seed: int, feature: str, label: ClassLa
     return shuffled[:count]
 
 
+def _write(path: str, data: bytes) -> None:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 def generate(spec: FrequencySpec, out: Path | str, pad_lines: int = 0) -> GeneratedCorpus:
     """Write the corpus tree plus ``labels.csv`` under ``out``.
 
@@ -238,35 +248,34 @@ def generate(spec: FrequencySpec, out: Path | str, pad_lines: int = 0) -> Genera
                 plants.setdefault(sample_id, []).append(entry)
 
     out.mkdir(parents=True, exist_ok=True)
-    pad_block = "".join(f"{_PAD_LINE}\n" for _ in range(pad_lines))
+    smali_tail = ("".join(f"{_PAD_LINE}\n" for _ in range(pad_lines)) + _SMALI_TAIL).encode()
     label_rows: list[tuple[str, str]] = []
     for label in (ClassLabel.BENIGN, ClassLabel.SUSPICIOUS):
         for sample_id in ids[label]:
-            sample_dir = out / sample_id
-            (sample_dir / "smali").mkdir(parents=True)
+            sample_dir = os.path.join(out, sample_id)
+            os.mkdir(sample_dir)
+            os.mkdir(os.path.join(sample_dir, "smali"))
             mine = plants.get(sample_id, [])
 
             perm_elems = "".join(
                 f'    <uses-permission android:name="{e.feature.permission_name}"/>\n'
                 for e in mine if e.feature.kind == "permission"
             )
-            (sample_dir / "AndroidManifest.xml").write_text(
-                _MANIFEST_HEAD + perm_elems + _MANIFEST_TAIL, encoding="utf-8"
-            )
+            _write(os.path.join(sample_dir, "AndroidManifest.xml"),
+                   (_MANIFEST_HEAD + perm_elems + _MANIFEST_TAIL).encode())
 
             code_lines = "".join(
                 _code_line(e.feature) + "\n"
                 for e in mine if e.feature.kind in CONTENT_KINDS
             )
-            (sample_dir / "smali" / "Gen.smali").write_text(
-                _SMALI_HEAD + code_lines + pad_block + _SMALI_TAIL, encoding="utf-8"
-            )
+            _write(os.path.join(sample_dir, "smali", "Gen.smali"),
+                   (_SMALI_HEAD + code_lines).encode() + smali_tail)
 
-            for e in mine:
-                if e.feature.kind == "payload-extension":
-                    target = sample_dir / _payload_path(e.feature)
-                    target.parent.mkdir(parents=True, exist_ok=True)
-                    target.write_bytes(b"")
+            payloads = [e for e in mine if e.feature.kind == "payload-extension"]
+            if payloads:
+                os.mkdir(os.path.join(sample_dir, "assets"))
+            for e in payloads:
+                _write(os.path.join(sample_dir, _payload_path(e.feature)), b"")
             label_rows.append((sample_id, label.value))
 
     labels_path = out / "labels.csv"

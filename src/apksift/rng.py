@@ -30,21 +30,12 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
 
-    def below(self, bound: int) -> int:
-        """Draw an integer in [0, bound) by modulo reduction.
-
-        The modulo bias is negligible for bounds far below 2**64 and the
-        reduction is part of the documented sequence contract, so it is
-        kept deliberately simple.
-        """
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return self.next_u64() % bound
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle driven by this stream."""
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            # The modulo bias is negligible for bounds far below 2**64, and the
+            # reduction is part of the documented sequence contract.
+            j = self.next_u64() % (i + 1)
             items[i], items[j] = items[j], items[i]
 
 

@@ -5,7 +5,10 @@ import os
 import pytest
 
 from apksift import classifier
+from apksift.catalog import load_catalog, subset_catalog
 from apksift.cli import build_parser, main
+from apksift.corpus import load_corpus
+from apksift.detectors import extract_corpus
 
 from conftest import manifest_with, write_labels, write_sample
 
@@ -182,6 +185,31 @@ def test_classify_list_feature_name_data_error(tmp_path, small_corpus, capsys):
     assert line.startswith("apksift: error:") and "['chmod']" in line
 
 
+@pytest.mark.parametrize("edit, shown", [
+    pytest.param(lambda m: m["features"][0].update(count_pos_sus=3.7), "3.7", id="float-count"),
+    pytest.param(lambda m: m["features"][0].update(count_pos_ben=True), "True", id="bool-count"),
+    pytest.param(lambda m: m["class_counts"].update(benign="6"), "'6'", id="str-class-count"),
+    pytest.param(lambda m: m.update(catalog_mode=""), "''", id="empty-catalog-mode"),
+    pytest.param(lambda m: m.update(catalog_mode=False), "False", id="bool-catalog-mode"),
+])
+def test_classify_model_count_or_mode_of_wrong_type_data_error(
+        tmp_path, small_corpus, capsys, edit, shown):
+    model = _edited_model(tmp_path, small_corpus, edit)
+    line = _classify_error(tmp_path, small_corpus, model, capsys)
+    assert line.startswith("apksift: error:") and shown in line
+
+
+@pytest.mark.parametrize("keep", [1, 2])  # the model's only feature, or one of two
+def test_classify_model_feature_missing_from_catalog_data_error(
+        tmp_path, small_corpus, capsys, keep):
+    def edit(m):
+        m["features"] = m["features"][:keep]
+        m["features"][0].update(name="NOT_A_FEATURE")
+    model = _edited_model(tmp_path, small_corpus, edit)
+    line = _classify_error(tmp_path, small_corpus, model, capsys)
+    assert line == "apksift: error: input is missing model feature(s): NOT_A_FEATURE"
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_non_finite_alpha_usage_error(tmp_path, small_corpus, capsys, command):
     root, labels = small_corpus
@@ -313,7 +341,34 @@ def test_extraction_warnings_printed_by_every_extracting_command(tmp_path, small
                          if line.startswith("warning:")]
     assert len(seen["extract"]) == 1
     assert seen["extract"][0].startswith("warning: ben0: malformed manifest XML (")
+    # classify extracts only the model's features and prints that extraction's warnings
+    classify = seen.pop("classify")
     assert all(lines == seen["extract"] for lines in seen.values()), seen
+    names = classifier.load_model(model).feature_names
+    _, stats = extract_corpus(load_corpus(root, labels),
+                              subset_catalog(load_catalog("builtin", "M"), names))
+    assert classify == [f"warning: {w}" for w in stats.warnings]
+
+
+def _classify_warnings(tmp_path, small_corpus, capsys, feature):
+    root, _ = small_corpus
+    (root / "ben0" / "AndroidManifest.xml").write_text(manifest_with("INTERNET")[:60])
+    model = tmp_path / "model.json"
+    classifier.save_model(classifier.TrainedModel((feature,), 6, 6, (0,), (6,), 1.0, "M"), model)
+    capsys.readouterr()
+    assert main(["classify", "--corpus", str(root), "--model", str(model),
+                 "--out", str(tmp_path / "preds.csv")]) == 0
+    return [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+
+
+def test_classify_permission_model_warns_of_malformed_manifest(tmp_path, small_corpus, capsys):
+    warnings = _classify_warnings(tmp_path, small_corpus, capsys, "INTERNET")
+    assert len(warnings) == 1
+    assert warnings[0].startswith("warning: ben0: malformed manifest XML (")
+
+
+def test_classify_code_only_model_never_reads_manifest(tmp_path, small_corpus, capsys):
+    assert _classify_warnings(tmp_path, small_corpus, capsys, "chmod") == []
 
 
 def test_bench_prints_extraction_warnings(tmp_path, small_corpus, capsys):

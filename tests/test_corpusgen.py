@@ -137,6 +137,18 @@ def test_generate_deterministic_trees(tmp_path, cat):
     assert tree_digest(g1.root) != tree_digest(g3.root)
 
 
+def test_generate_tree_bytes_frozen(tmp_path, cat):
+    # Names and bytes of a table6 corpus with payload files and pad lines, as
+    # generated before the writer moved to os.mkdir/os.open; any change to
+    # the tree layout, file bytes or planting order moves this digest.
+    spec = spec_from_table(data_table_path("table6"), cat, 1000, 1000, seed=11)
+    entries = tuple(FrequencyEntry(e.feature, e.benign // 50, e.malware // 50)
+                    for e in spec.entries)
+    g = generate(FrequencySpec(entries, 20, 20, seed=11), tmp_path / "corpus", pad_lines=3)
+    assert list((g.root / "mal00000").iterdir())
+    assert tree_digest(g.root) == "d50156eaded2d0b2f26879899ac2ff1c16ad7f297aa692a0ab3bfee2f1e20f01"
+
+
 def test_generate_nonempty_out_fatal(tmp_path, cat):
     out = tmp_path / "corpus"
     out.mkdir()
