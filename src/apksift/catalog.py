@@ -27,12 +27,14 @@ re-indexing densely from 0 either way.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 
+from . import files
 from .corpus import PAYLOAD_SCOPES, Scope
 from .errors import CatalogError
 
@@ -56,6 +58,7 @@ CONTENT_KINDS = frozenset(
 )
 
 _SCOPE_BY_NAME = {s.value: s for s in Scope}
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 #: The scopes extraction searches for each kind.
 _SEARCHED = {
@@ -173,15 +176,22 @@ def _parse_entry(raw: object, position: int, text: str) -> tuple[str, str, tuple
         scopes = raw["scopes"]
     except KeyError as exc:
         raise CatalogError(f"catalog entry {position} ({raw.get('name', '?')}) missing key {exc}") from exc
+    if not isinstance(name, str) or not name:
+        raise CatalogError(f"catalog entry {position}: name {name!r} is not a non-empty string")
     if kind not in KINDS:
         raise CatalogError(
-            f"catalog line {_line_of(text, str(name))}: unknown kind {kind!r} for feature {name!r}"
+            f"catalog line {_line_of(text, name)}: unknown kind {kind!r} for feature {name!r}"
         )
-    parts = tuple(pattern) if isinstance(pattern, list) else (str(pattern),)
-    if not parts or any(not isinstance(p, str) or not p for p in parts):
+    parts = [pattern] if isinstance(pattern, str) else pattern
+    if not (isinstance(parts, list) and parts and all(isinstance(p, str) and p for p in parts)):
         raise CatalogError(f"feature {name!r}: pattern must be a non-empty string or list of strings")
+    parts = tuple(parts)
     if any(p.splitlines() != [p] for p in parts):
         raise CatalogError(f"feature {name!r}: pattern must not contain a line break")
+    if _SURROGATE.search(name + "".join(parts)):  # JSON escapes can make lone surrogates
+        raise CatalogError(f"feature {name!r}: name and pattern must be encodable as UTF-8")
+    if not (isinstance(scopes, list) and all(isinstance(s, str) for s in scopes)):
+        raise CatalogError(f"feature {name!r}: scopes must be a list of strings")
     try:
         scope_set = frozenset(_SCOPE_BY_NAME[s] for s in scopes)
     except KeyError as exc:
@@ -193,7 +203,7 @@ def _parse_entry(raw: object, position: int, text: str) -> tuple[str, str, tuple
         searched = ", ".join(s.value for s in Scope if s in _SEARCHED[kind])
         raise CatalogError(f"{kind} feature {name!r} must not search the {unsearched[0]} scope "
                            f"(extraction searches this kind only in the {searched} scope(s))")
-    return str(name), kind, parts, scope_set
+    return name, kind, parts, scope_set
 
 
 def parse_catalog(text: str, mode: str = "M") -> FeatureCatalog:
@@ -204,6 +214,8 @@ def parse_catalog(text: str, mode: str = "M") -> FeatureCatalog:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"catalog is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer too long to convert, or deep nesting
+        raise CatalogError(f"catalog is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise CatalogError("catalog must be a JSON array of feature objects")
 
@@ -229,11 +241,7 @@ def load_catalog(path: Path | str, mode: str = "M") -> FeatureCatalog:
     """Load a catalog file; ``path`` may be the literal string ``builtin``."""
     if str(path) == "builtin":
         return parse_catalog(builtin_catalog(), mode)
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
-    return parse_catalog(text, mode)
+    return parse_catalog(files.read_text(path, "catalog", CatalogError), mode)
 
 
 def serialize_catalog(catalog: FeatureCatalog) -> str:

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .catalog import MODES
 from .corpus import ClassLabel
 from .detectors import FeatureMatrix
@@ -175,21 +176,20 @@ def save_model(model: TrainedModel, path: Path | str) -> None:
             for n, ps, pb in zip(model.feature_names, model.pos_suspicious, model.pos_benign)
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    files.write_text(path, json.dumps(payload, indent=2) + "\n", ModelError)
 
 
 def _count(value) -> int:
-    if type(value) is not int:  # JSON true is a bool, 3.7 a float, "3" a str
-        raise ValueError(f"count {value!r} is not an integer")
+    # JSON true is a bool, 3.7 a float, "3" a str; scoring needs a float to hold the count
+    if type(value) is not int or value > 2**53:
+        raise ValueError(f"count {value!r} is not an integer up to 2**53")
     return value
 
 
 def load_model(path: Path | str) -> TrainedModel:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ModelError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        payload = json.loads(files.read_text(path, "model file", ModelError))
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, or deep nesting
         raise ModelError(f"model file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "schema_version" not in payload:
         raise ModelError(f"model file {path} has no schema_version")
@@ -209,5 +209,5 @@ def load_model(path: Path | str) -> TrainedModel:
             alpha=float(payload["alpha"]),
             catalog_mode=payload.get("catalog_mode"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"model file {path} is malformed: {exc}") from exc

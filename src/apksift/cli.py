@@ -13,7 +13,6 @@ to keep the evaluation leakage-free.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
 import sys
@@ -24,6 +23,7 @@ from . import classifier as classifier_mod
 from . import corpusgen
 from . import detectors
 from . import evaluation
+from . import files
 from . import ranking
 from .corpus import load_corpus
 from .errors import ApkSiftError
@@ -249,13 +249,9 @@ def _cmd_train(args) -> int:
 def _cmd_classify(args) -> int:
     model = classifier_mod.load_model(args.model)
     matrix, _ = _extract(args, model.catalog_mode, names=model.feature_names)
-    with open(args.out, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["app_id", "posterior", "score", "decision"])
-        for pred in classifier_mod.classify(model, matrix, threshold=args.threshold):
-            writer.writerow(
-                [pred.sample_id, f"{pred.posterior:.6f}", f"{pred.score:.6f}", pred.decision.value]
-            )
+    rows = ([pred.sample_id, f"{pred.posterior:.6f}", f"{pred.score:.6f}", pred.decision.value]
+            for pred in classifier_mod.classify(model, matrix, threshold=args.threshold))
+    files.write_csv(args.out, ["app_id", "posterior", "score", "decision"], rows, ApkSiftError)
     print(f"classified {len(matrix)} samples -> {args.out}")
     return 0
 
@@ -280,13 +276,10 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_bench(args) -> int:
     rows = time_extraction_settings(_labeled_only(_load_corpus(args)), args.catalog)
-
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["attributes_setting", "features", "extraction_time_s"])
-        for label, n_features, seconds in rows:
-            writer.writerow([label, n_features, f"{seconds:.3f}"])
-            print(f"{label:38s} {n_features:4d} features  {seconds:8.3f} s")
+    files.write_csv(args.out, ["attributes_setting", "features", "extraction_time_s"],
+                    [(label, n, f"{seconds:.3f}") for label, n, seconds in rows], ApkSiftError)
+    for label, n_features, seconds in rows:
+        print(f"{label:38s} {n_features:4d} features  {seconds:8.3f} s")
     print(f"wrote {args.out}")
     return 0
 

@@ -21,7 +21,6 @@ reader reads them, the manifest included (members through ``AppSample.read``).
 
 from __future__ import annotations
 
-import csv
 import enum
 import os
 import stat
@@ -29,6 +28,7 @@ from dataclasses import dataclass, field
 from operator import methodcaller
 from pathlib import Path
 
+from . import files
 from .errors import CorpusError, ManifestMissing
 
 MANIFEST_NAME = "AndroidManifest.xml"
@@ -164,35 +164,22 @@ class Corpus:
         return iter(self.samples)
 
 
-def _read_labels(labels_path: Path) -> dict[str, ClassLabel]:
-    try:
-        text = labels_path.read_text(encoding="utf-8-sig", errors="surrogateescape")
-    except OSError as exc:
-        raise CorpusError(f"cannot read labels file {labels_path}: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
-        return {}
-    header = [h.strip() for h in rows[0]]
-    if header[:2] != ["app_id", "label"]:
-        raise CorpusError(
-            f"labels file {labels_path} must start with header 'app_id,label', got {rows[0]!r}"
-        )
+def _read_labels(path: Path) -> dict[str, ClassLabel]:
     labels: dict[str, ClassLabel] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+    where = f"labels file {path} line"
+    for lineno, row in files.read_rows(path, ("app_id", "label"), "labels file", CorpusError):
         if len(row) < 2:
-            raise CorpusError(f"labels file line {lineno}: expected 'app_id,label', got {row!r}")
+            raise CorpusError(f"{where} {lineno}: expected 'app_id,label', got {row!r}")
         app_id, label_text = row[0], row[1].strip()  # ids are compared as written
         try:
             label = ClassLabel(label_text)
         except ValueError:
             raise CorpusError(
-                f"labels file line {lineno}: unknown label {label_text!r} "
+                f"{where} {lineno}: unknown label {label_text!r} "
                 f"(expected 'benign' or 'suspicious')"
             ) from None
         if app_id in labels:
-            raise CorpusError(f"labels file line {lineno}: duplicate app id {app_id!r}")
+            raise CorpusError(f"{where} {lineno}: duplicate app id {app_id!r}")
         labels[app_id] = label
     return labels
 

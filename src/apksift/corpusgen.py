@@ -23,11 +23,11 @@ and must not be relied on.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import files
 from .catalog import CONTENT_KINDS, FeatureCatalog, FeatureDef
 from .corpus import ClassLabel, Scope
 from .errors import GenerationError
@@ -94,29 +94,17 @@ def spec_from_table(
     seed: int = 0,
 ) -> FrequencySpec:
     """Build a spec from a ``feature,benign_count,malware_count`` CSV."""
-    try:
-        text = Path(table).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise GenerationError(f"cannot read table file {table}: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
-        return FrequencySpec((), n_benign, n_suspicious, seed)
-    if [h.strip() for h in rows[0][:3]] != ["feature", "benign_count", "malware_count"]:
-        raise GenerationError(
-            f"table {table} must start with header 'feature,benign_count,malware_count'"
-        )
     by_name = {d.name: d for d in catalog}
     entries = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or not row[0].strip():
-            continue
+    header, where = ("feature", "benign_count", "malware_count"), f"table file {table} line"
+    for lineno, row in files.read_rows(table, header, "table file", GenerationError):
         name = row[0].strip()
         if name not in by_name:
-            raise GenerationError(f"table line {lineno}: unknown catalog feature {name!r}")
+            raise GenerationError(f"{where} {lineno}: unknown catalog feature {name!r}")
         try:
             entries.append(FrequencyEntry(by_name[name], int(row[1]), int(row[2])))
         except (IndexError, ValueError) as exc:
-            raise GenerationError(f"table line {lineno}: bad counts in {row!r}") from exc
+            raise GenerationError(f"{where} {lineno}: bad counts in {row!r}") from exc
     return FrequencySpec(tuple(entries), n_benign, n_suspicious, seed)
 
 
@@ -279,8 +267,5 @@ def generate(spec: FrequencySpec, out: Path | str, pad_lines: int = 0) -> Genera
             label_rows.append((sample_id, label.value))
 
     labels_path = out / "labels.csv"
-    with open(labels_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["app_id", "label"])
-        writer.writerows(sorted(label_rows))
+    files.write_csv(labels_path, ["app_id", "label"], sorted(label_rows), GenerationError)
     return GeneratedCorpus(root=out, labels=labels_path)

@@ -37,7 +37,6 @@ warning.
 
 from __future__ import annotations
 
-import csv
 import re
 import time
 from dataclasses import dataclass, field
@@ -46,6 +45,7 @@ from xml.parsers import expat
 
 import numpy as np
 
+from . import files
 from .catalog import FeatureCatalog, FeatureDef, ScanPlan
 from .corpus import (
     DEFAULT_MAX_FILE_BYTES,
@@ -256,17 +256,12 @@ def write_matrix_csv(matrix: FeatureMatrix, path: Path | str) -> None:
     """Matrix file: header ``app_id,label,<feature names>``, 0/1 cells, LF endings."""
     text = matrix.bits.tobytes().translate(_BIT_TEXT).decode("ascii")
     n = matrix.bits.shape[1]
-    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["app_id", "label", *matrix.feature_names])
-        writer.writerows(
-            [app_id, "" if label is None else label.value, *text[i * n:(i + 1) * n]]
+    rows = ([app_id, "" if label is None else label.value, *text[i * n:(i + 1) * n]]
             for i, (app_id, label) in enumerate(zip(matrix.ids, matrix.labels)))
+    files.write_csv(path, ["app_id", "label", *matrix.feature_names], rows, CorpusError)
 
 
 def write_stats_csv(stats: ExtractionStats, path: Path | str) -> None:
-    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["app_id", "duration_ms", "files_scanned", "warnings"])
-        for s in stats.per_sample:
-            writer.writerow([s.sample_id, f"{s.duration_ms:.3f}", s.total_files, len(s.warnings)])
+    rows = ([s.sample_id, f"{s.duration_ms:.3f}", s.total_files, len(s.warnings)]
+            for s in stats.per_sample)
+    files.write_csv(path, ["app_id", "duration_ms", "files_scanned", "warnings"], rows, CorpusError)

@@ -22,7 +22,6 @@ ties counted one half.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,6 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 
+from . import files
 from .classifier import TrainedModel, posterior_matrix, train
 from .corpus import PATH_KEY, ClassLabel
 from .detectors import FeatureMatrix
@@ -391,35 +391,23 @@ def emit_report(
     written: list[Path] = []
 
     if "json" in formats:
-        path = out / "report.json"
-        path.write_text(
-            json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        written.append(path)
+        written.append(out / "report.json")
+        text = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+        files.write_text(written[-1], text, EvaluationError)
 
     if "csv" in formats:
-        path = out / "metrics.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["fold", *_METRIC_COLUMNS])
-            for f in report.folds:
-                writer.writerow(_metric_row(str(f.fold), f.metrics))
-            writer.writerow(_metric_row("avg", report.averaged))
-        written.append(path)
+        written.append(out / "metrics.csv")
+        rows = [_metric_row(str(f.fold), f.metrics) for f in report.folds]
+        rows.append(_metric_row("avg", report.averaged))
+        files.write_csv(written[-1], ["fold", *_METRIC_COLUMNS], rows, EvaluationError)
 
-        path = out / "roc.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["threshold", "fpr", "tpr"])
-            for t, fpr, tpr in report.roc.points:
-                writer.writerow([_threshold_value(t), f"{fpr:.5f}", f"{tpr:.5f}"])
-        written.append(path)
+        written.append(out / "roc.csv")
+        rows = [[_threshold_value(t), f"{x:.5f}", f"{y:.5f}"] for t, x, y in report.roc.points]
+        files.write_csv(written[-1], ["threshold", "fpr", "tpr"], rows, EvaluationError)
 
     if "svg" in formats:
-        path = out / "roc.svg"
-        path.write_text(roc_svg(report.roc), encoding="utf-8")
-        written.append(path)
+        written.append(out / "roc.svg")
+        files.write_text(written[-1], roc_svg(report.roc), EvaluationError)
 
     return written
 

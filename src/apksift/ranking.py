@@ -10,13 +10,13 @@ reproducible.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .corpus import ClassLabel
 from .detectors import FeatureMatrix
 from .errors import RankingError
@@ -167,10 +167,7 @@ def select_top(ranked: list[RankedFeature], preset: str | None = None,
 
 def write_ranking_csv(ranked: list[RankedFeature], path: Path | str) -> None:
     """Ranking report mirroring the frequency-table layout, scores to 5 dp."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "feature", "benign_count", "malware_count", "total", "infogain"])
-        for pos, r in enumerate(ranked, start=1):
-            writer.writerow(
-                [pos, r.name, r.benign_count, r.malware_count, r.total, f"{r.score:.5f}"]
-            )
+    rows = ([pos, r.name, r.benign_count, r.malware_count, r.total, f"{r.score:.5f}"]
+            for pos, r in enumerate(ranked, start=1))
+    files.write_csv(path, ["rank", "feature", "benign_count", "malware_count", "total", "infogain"],
+                    rows, RankingError)

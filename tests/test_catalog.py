@@ -126,6 +126,14 @@ def test_invalid_json_fatal():
         parse_catalog("[{not json")
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, "[" + "1" * 5000 + "]"],
+                         ids=["deep-nesting", "long-integer"])
+def test_json_the_parser_refuses_fatal(text):
+    # json raises RecursionError and ValueError here, not JSONDecodeError.
+    with pytest.raises(CatalogError, match="JSON"):
+        parse_catalog(text)
+
+
 def test_subset_catalog(catalog_m):
     sub = subset_catalog(catalog_m, ["chmod", "READ_SMS"])
     assert sub.names == ("READ_SMS", "chmod")  # file order kept, not request order
@@ -149,6 +157,24 @@ def test_line_break_in_pattern_fatal(pattern):
 def test_non_string_pattern_part_fatal():
     text = json.dumps([_entry("broken", kind="api-call", pattern=["Runtime", 7])])
     with pytest.raises(CatalogError, match="'broken'"):
+        parse_catalog(text)
+
+
+@pytest.mark.parametrize("entry, message", [
+    pytest.param({"name": ["x"]}, r"name \['x'\] is not a non-empty string", id="list-name"),
+    pytest.param({"name": ""}, "name '' is not a non-empty string", id="empty-name"),
+    pytest.param({"pattern": {"a": 1}}, "pattern must be a non-empty string", id="object-pattern"),
+    pytest.param({"pattern": 7}, "pattern must be a non-empty string", id="number-pattern"),
+    pytest.param({"scopes": "code"}, "scopes must be a list of strings", id="string-scopes"),
+    pytest.param({"scopes": [["code"]]}, "scopes must be a list of strings", id="nested-scopes"),
+    pytest.param({"name": "\ud800"}, "encodable as UTF-8", id="surrogate-name"),
+    pytest.param({"pattern": ["Runtime", "\udcff"]}, "encodable as UTF-8", id="surrogate-part"),
+])
+def test_malformed_entry_fatal(entry, message):
+    # Each used to load as the text of a Python value, fail on a scope
+    # letter, or raise UnicodeEncodeError instead of CatalogError.
+    text = json.dumps([{**_entry("chmod", kind="system-command"), **entry}])
+    with pytest.raises(CatalogError, match=message):
         parse_catalog(text)
 
 

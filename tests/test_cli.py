@@ -191,6 +191,9 @@ def test_classify_list_feature_name_data_error(tmp_path, small_corpus, capsys):
     pytest.param(lambda m: m["class_counts"].update(benign="6"), "'6'", id="str-class-count"),
     pytest.param(lambda m: m.update(catalog_mode=""), "''", id="empty-catalog-mode"),
     pytest.param(lambda m: m.update(catalog_mode=False), "False", id="bool-catalog-mode"),
+    pytest.param(lambda m: m["class_counts"].update(benign=10**400), "up to 2**53",
+                 id="huge-class-count"),
+    pytest.param(lambda m: m.update(alpha=10**400), "too large", id="huge-int-alpha"),
 ])
 def test_classify_model_count_or_mode_of_wrong_type_data_error(
         tmp_path, small_corpus, capsys, edit, shown):
