@@ -199,14 +199,16 @@ def load_model(path: Path | str) -> TrainedModel:
             f"this build reads version {MODEL_SCHEMA_VERSION}"
         )
     try:
-        features = payload["features"]
+        features, alpha = payload["features"], payload["alpha"]
+        if type(alpha) not in (str, int, float):  # JSON true is a bool, and float(True) is 1.0
+            raise TypeError(f"alpha {alpha!r} is neither a number nor its text")
         return TrainedModel(
             feature_names=tuple(f["name"] for f in features),
             n_benign=_count(payload["class_counts"]["benign"]),
             n_suspicious=_count(payload["class_counts"]["suspicious"]),
             pos_benign=tuple(_count(f["count_pos_ben"]) for f in features),
             pos_suspicious=tuple(_count(f["count_pos_sus"]) for f in features),
-            alpha=float(payload["alpha"]),
+            alpha=float(alpha),
             catalog_mode=payload.get("catalog_mode"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -141,9 +141,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Controls and line and paragraph separators print as escapes, a backslash doubles, and
+# a lone surrogate prints as \udcNN: no id or path from a tree can forge an output line.
+_ESCAPES = {ord("\\"): "\\\\", **{c: f"\\x{c:02x}" if c < 0x100 else f"\\u{c:04x}"
+                                  for c in (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)}}
+
+
 def _warn(warnings) -> None:
     for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+        shown = warning.translate(_ESCAPES).encode("utf-8", "backslashreplace").decode()
+        print(f"warning: {shown}", file=sys.stderr)
 
 
 def _load_corpus(args):

@@ -202,8 +202,11 @@ def generate(spec: FrequencySpec, out: Path | str, pad_lines: int = 0) -> Genera
     amounts of text without changing any feature bit.
     """
     out = Path(out)
-    if out.exists() and any(out.iterdir()):
-        raise GenerationError(f"output directory {out} is not empty")
+    try:
+        if out.exists() and any(out.iterdir()):
+            raise GenerationError(f"output directory {out} is not empty")
+    except OSError as exc:  # a file at ``out``
+        raise GenerationError(f"cannot use {out} as the output directory: {exc}") from exc
     _assert_inert(_MANIFEST_HEAD + _MANIFEST_TAIL, spec.entries, "manifest template")
     _assert_inert(_SMALI_HEAD + _SMALI_TAIL, spec.entries, "code template")
     _assert_inert(_PAD_LINE, spec.entries, "pad line")
@@ -235,7 +238,10 @@ def generate(spec: FrequencySpec, out: Path | str, pad_lines: int = 0) -> Genera
             for sample_id in chosen[entry.feature.name][label]:
                 plants.setdefault(sample_id, []).append(entry)
 
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file above ``out``
+        raise GenerationError(f"cannot create output directory {out}: {exc}") from exc
     smali_tail = ("".join(f"{_PAD_LINE}\n" for _ in range(pad_lines)) + _SMALI_TAIL).encode()
     label_rows: list[tuple[str, str]] = []
     for label in (ClassLabel.BENIGN, ClassLabel.SUSPICIOUS):

@@ -10,7 +10,8 @@ Fold assignment is a deterministic function of (ids, seed): within each
 class, ids are byte-sorted, shuffled by a SplitMix64-driven Fisher-Yates
 (class stream seeded with seed + 0 for benign, seed + 1 for suspicious),
 and dealt round-robin over the k folds. The same inputs always reproduce
-the same folds, on any platform.
+the same folds, on any platform. Each fold's training counts are the
+corpus counts minus its test rows' counts: exact, the same bits as a recount.
 
 One ROC curve is computed from the test scores of all folds pooled
 together: thresholds sweep the distinct score values (with sentinels
@@ -28,13 +29,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 
 from . import files
 from .classifier import TrainedModel, posterior_matrix, train
 from .corpus import PATH_KEY, ClassLabel
 from .detectors import FeatureMatrix
 from .errors import EvaluationError
-from .ranking import FeatureSelection, build_contingency, rank_features, select_top
+from .ranking import ContingencyTable, FeatureSelection, build_contingency, rank_features, select_top
 from .rng import SplitMix64
 
 REPORT_SCHEMA_VERSION = 1
@@ -159,15 +161,11 @@ def stratified_kfold(
     """
     if k < 2:
         raise EvaluationError(f"fold count must be >= 2, got {k}")
-    by_class: dict[ClassLabel, list[str]] = {ClassLabel.BENIGN: [], ClassLabel.SUSPICIOUS: []}
-    for app_id in ids:
-        label = labels.get(app_id)
-        if label is None:
-            raise EvaluationError(f"sample {app_id!r} has no label; cannot stratify")
-        by_class[label].append(app_id)
+    if unlabeled := [app_id for app_id in ids if labels.get(app_id) is None]:
+        raise EvaluationError(f"sample {unlabeled[0]!r} has no label; cannot stratify")
     folds: list[list[str]] = [[] for _ in range(k)]
     for class_index, label in enumerate((ClassLabel.BENIGN, ClassLabel.SUSPICIOUS)):
-        members = sorted(by_class[label], key=PATH_KEY)
+        members = sorted((app_id for app_id in ids if labels[app_id] is label), key=PATH_KEY)
         if len(members) < k:
             raise EvaluationError(
                 f"class {label.value!r} has {len(members)} samples, fewer than k={k}"
@@ -187,7 +185,7 @@ def roc(scores: list[float], labels: list[ClassLabel]) -> RocCurve:
     if n_sus == 0 or n_ben == 0:
         raise EvaluationError("ROC needs at least one sample of each class")
 
-    order = sorted(range(len(scores)), key=lambda i: -scores[i])
+    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
     points: list[tuple[float, float, float]] = [(math.inf, 0.0, 0.0)]
     tp = fp = 0
     i = 0
@@ -236,21 +234,25 @@ def _rows(matrix: FeatureMatrix, rows: list[int]) -> FeatureMatrix:
 
 
 def _fit_and_score(
-    matrix: FeatureMatrix,
-    train_rows: list[int],
-    test_rows: list[int],
+    totals: list[ContingencyTable],
+    test: FeatureMatrix,
     preset: str | None,
     top_n: int | None,
     alpha: float,
 ) -> tuple[TrainedModel, FeatureSelection, list[float]]:
-    """Rank, select and train on the training rows only, then score the test rows.
-
-    Returns (model, selection, test posteriors).
-    """
-    tables = build_contingency(_rows(matrix, train_rows))
+    """Rank, select and train on the corpus ``totals`` less the test rows' counts,
+    then score the test rows. Returns (model, selection, test posteriors)."""
+    sus = np.array([lab is ClassLabel.SUSPICIOUS for lab in test.labels])
+    n_sus, n_ben = int(sus.sum()), int((~sus).sum())
+    pos_sus, pos_ben = (test.bits[rows].sum(axis=0).tolist() for rows in (sus, ~sus))
+    tables = [
+        ContingencyTable(t.feature, t.n_pos_sus - s, t.n_pos_ben - b,
+                         t.n_sus - n_sus, t.n_ben - n_ben)
+        for t, s, b in zip(totals, pos_sus, pos_ben)
+    ]
     selection = select_top(rank_features(tables), preset=preset, n=top_n)
-    model = train(tables, selection.names, alpha=alpha, catalog_mode=matrix.mode)
-    return model, selection, posterior_matrix(model, _rows(matrix, test_rows)).tolist()
+    model = train(tables, selection.names, alpha=alpha, catalog_mode=test.mode)
+    return model, selection, posterior_matrix(model, test).tolist()
 
 
 def cross_validate(
@@ -264,12 +266,11 @@ def cross_validate(
     """Leakage-free k-fold evaluation: ranking and training see only the
     training portion of each fold; metrics average across folds and all
     test scores pool into a single ROC/AUC."""
-    labels = {
-        app_id: lab for app_id, lab in zip(matrix.ids, matrix.labels) if lab is not None
-    }
-    if len(labels) != len(matrix.ids):
+    labels = dict(zip(matrix.ids, matrix.labels))
+    if None in labels.values() or len(labels) != len(matrix):  # unlabeled, or an id repeated
         raise EvaluationError("cross-validation requires a fully labeled matrix")
     folds = stratified_kfold(list(matrix.ids), labels, k=k, seed=seed)
+    totals = build_contingency(matrix)
     row_of = {app_id: i for i, app_id in enumerate(matrix.ids)}
 
     fold_results: list[FoldResult] = []
@@ -277,16 +278,12 @@ def cross_validate(
     pooled_labels: list[ClassLabel] = []
     for fold_index, test_ids in enumerate(folds):
         # Test rows keep fold order for the pooled ROC; counts ignore row order.
-        test_rows = [row_of[app_id] for app_id in test_ids]
-        train_rows = sorted(set(range(len(matrix))).difference(test_rows))
-        _, selection, posteriors = _fit_and_score(
-            matrix, train_rows, test_rows, preset, top_n, alpha
-        )
-        truths = [matrix.labels[r] for r in test_rows]
+        test = _rows(matrix, [row_of[app_id] for app_id in test_ids])
+        _, selection, posteriors = _fit_and_score(totals, test, preset, top_n, alpha)
         decisions = [
             ClassLabel.SUSPICIOUS if p >= THRESHOLD else ClassLabel.BENIGN for p in posteriors
         ]
-        counts = confusion(truths, decisions)
+        counts = confusion(test.labels, decisions)
         fold_results.append(
             FoldResult(
                 fold=fold_index,
@@ -297,7 +294,7 @@ def cross_validate(
             )
         )
         pooled_scores.extend(posteriors)
-        pooled_labels.extend(truths)
+        pooled_labels.extend(test.labels)
 
     averaged, undefined = _mean_metrics([f.metrics for f in fold_results])
     config = {

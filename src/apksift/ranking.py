@@ -130,15 +130,13 @@ def mutual_information(table: ContingencyTable) -> float:
 
 def rank_features(tables: list[ContingencyTable]) -> list[RankedFeature]:
     """Descending MI order; ties broken by ascending feature name."""
-    ranked = [
-        RankedFeature(
-            name=t.feature,
-            score=mutual_information(t),
-            benign_count=t.n_pos_ben,
-            malware_count=t.n_pos_sus,
-        )
-        for t in tables
-    ]
+    scores: dict[tuple[int, int, int, int], float] = {}  # MI reads only the four counts
+    ranked = []
+    for t in tables:
+        key = (t.n_pos_sus, t.n_pos_ben, t.n_sus, t.n_ben)
+        if key not in scores:
+            scores[key] = mutual_information(t)
+        ranked.append(RankedFeature(t.feature, scores[key], t.n_pos_ben, t.n_pos_sus))
     ranked.sort(key=lambda r: (-r.score, r.name))
     return ranked
 

@@ -31,12 +31,17 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle driven by this stream."""
+        """In-place Fisher-Yates shuffle driven by this stream (``next_u64`` inlined)."""
+        state = self._state
         for i in range(len(items) - 1, 0, -1):
+            state = (state + 0x9E3779B97F4A7C15) & _MASK
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
             # The modulo bias is negligible for bounds far below 2**64, and the
             # reduction is part of the documented sequence contract.
-            j = self.next_u64() % (i + 1)
+            j = (z ^ (z >> 31)) % (i + 1)
             items[i], items[j] = items[j], items[i]
+        self._state = state
 
 
 def fnv1a64(text: str) -> int:

@@ -18,6 +18,13 @@ imports nothing from extraction; it reads only the catalog's data:
 It also holds ``nb_scores``, the naive-Bayes scoring rule of the
 ``classifier`` docstring written out one row and one term at a time with
 ``math``; it reads a model's counts and imports nothing from the classifier.
+
+``naive_cross_validate`` is the oracle for ``evaluation.cross_validate``:
+per fold it copies the training rows and counts them with
+``build_contingency``, ranks by one ``mutual_information`` call per
+feature, and scores the test rows with ``nb_scores``; its ROC tests every
+distinct score as a threshold over all rows. It uses the fold assignment,
+confusion tally and metrics of ``evaluation``, never its fold loop.
 """
 
 import math
@@ -127,3 +134,61 @@ def nb_scores(model, rows) -> list[tuple[float, float]]:
         e = math.exp(-abs(d))
         out.append((1.0 / (1.0 + e) if d >= 0 else e / (1.0 + e), d / math.log(2)))
     return out
+
+
+def _roc(scores, truths):
+    """(points, auc) of the pooled threshold sweep: each distinct score, high to low,
+    calls suspicious every row scoring at least that much."""
+    n_sus = sum(t == "suspicious" for t in truths)
+    n_ben = len(truths) - n_sus
+    points = [(math.inf, 0.0, 0.0)]
+    for value in sorted(set(scores), reverse=True):
+        called = [t for s, t in zip(scores, truths) if s >= value]
+        points.append((value, called.count("benign") / n_ben, called.count("suspicious") / n_sus))
+    points.append((-math.inf, 1.0, 1.0))
+    auc = 0.0
+    for (_, x0, y0), (_, x1, y1) in zip(points, points[1:]):
+        auc += (x1 - x0) * (y0 + y1) / 2.0
+    return tuple(points), auc
+
+
+def naive_cross_validate(matrix, preset=None, top_n=None, alpha=1.0, k=5, seed=0):
+    """An ``EvalReport`` (with an empty config) of k-fold cross-validation,
+    counting each fold's training rows from scratch."""
+    from dataclasses import replace
+    from fractions import Fraction
+
+    from apksift.classifier import train
+    from apksift.corpus import ClassLabel
+    from apksift.evaluation import (EvalReport, FoldResult, MetricSet, RocCurve, confusion,
+                                    metrics, stratified_kfold)
+    from apksift.ranking import RankedFeature, build_contingency, mutual_information, select_top
+
+    def rows(picked):
+        return replace(matrix, ids=tuple(matrix.ids[r] for r in picked),
+                       labels=tuple(matrix.labels[r] for r in picked), bits=matrix.bits[picked])
+
+    folds = stratified_kfold(list(matrix.ids), dict(zip(matrix.ids, matrix.labels)), k, seed)
+    results, scores, truths = [], [], []
+    for index, test_ids in enumerate(folds):
+        test_rows = [matrix.ids.index(i) for i in test_ids]
+        tables = build_contingency(rows([r for r in range(len(matrix)) if r not in test_rows]))
+        ranked = sorted((RankedFeature(t.feature, mutual_information(t), t.n_pos_ben, t.n_pos_sus)
+                         for t in tables), key=lambda r: (-r.score, r.name))
+        selection = select_top(ranked, preset=preset, n=top_n)
+        model = train(tables, selection.names, alpha=alpha, catalog_mode=matrix.mode)
+        cols = [matrix.feature_names.index(n) for n in model.feature_names]
+        posteriors = [p for p, _ in nb_scores(model, [[int(matrix.bits[r, c]) for c in cols]
+                                                       for r in test_rows])]
+        labels = [matrix.labels[r] for r in test_rows]
+        counts = confusion(labels, [ClassLabel.SUSPICIOUS if p >= 0.5 else ClassLabel.BENIGN
+                                    for p in posteriors])
+        results.append(FoldResult(index, test_ids, counts, metrics(counts), list(selection.names)))
+        scores += posteriors
+        truths += [lab.value for lab in labels]
+    each = [f.metrics for f in results]
+    defined = [m.precision for m in each if m.precision is not None]
+    averaged = MetricSet(*(sum((getattr(m, name) for m in each), Fraction(0)) / k
+                           for name in ("acc", "err", "fpr", "fnr", "tpr", "tnr")),
+                         precision=sum(defined) / len(defined) if defined else None)
+    return EvalReport({}, results, averaged, k - len(defined), RocCurve(*_roc(scores, truths)))

@@ -390,3 +390,31 @@ def test_hand_edited_model_count_fatal(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelError, match="outside"):
         load_model(path)
+
+
+@pytest.mark.parametrize("alpha", [True, False, None, [1.0], {"alpha": 1.0}])
+def test_load_model_alpha_neither_number_nor_text_fatal(tmp_path, alpha):
+    # float() would read JSON true as 1.0 and false as 0.0
+    m = _matrix([[0], [1]], [ClassLabel.BENIGN, ClassLabel.SUSPICIOUS])
+    path = tmp_path / "model.json"
+    save_model(_train(m, ["f0"], alpha=1.0), path)
+    payload = json.loads(path.read_text())
+    payload["alpha"] = alpha
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match="alpha"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("alpha", ["0.5", 0.5, 1, 0])
+def test_load_model_alpha_number_or_text_same_bits(tmp_path, alpha):
+    m = _matrix([[0, 1], [1, 1], [1, 0], [0, 0]],
+                [ClassLabel.BENIGN, ClassLabel.SUSPICIOUS] * 2, names=("f0", "f1"))
+    model = _train(m, ["f0", "f1"], alpha=float(alpha))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    payload["alpha"] = alpha
+    path.write_text(json.dumps(payload))
+    loaded = load_model(path)
+    assert loaded == model
+    assert posterior_matrix(loaded, m).tobytes() == posterior_matrix(model, m).tobytes()

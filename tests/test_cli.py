@@ -1,12 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apksift import classifier
 from apksift.catalog import load_catalog, subset_catalog
-from apksift.cli import build_parser, main
+from apksift.cli import _warn, build_parser, main
 from apksift.corpus import load_corpus
 from apksift.detectors import extract_corpus
 
@@ -86,6 +90,18 @@ def test_gen_nonempty_out_data_error(tmp_path):
     table = tmp_path / "counts.csv"
     table.write_text("feature,benign_count,malware_count\n")
     assert main(["gen", "--table", str(table), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_gen_out_at_or_under_a_file_data_error(tmp_path, capsys, below):
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    table = tmp_path / "counts.csv"
+    table.write_text("feature,benign_count,malware_count\n")
+    out = afile / below
+    assert main(["gen", "--table", str(table), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("apksift: error: cannot ")
 
 
 def test_train_and_classify(tmp_path, small_corpus):
@@ -194,6 +210,7 @@ def test_classify_list_feature_name_data_error(tmp_path, small_corpus, capsys):
     pytest.param(lambda m: m["class_counts"].update(benign=10**400), "up to 2**53",
                  id="huge-class-count"),
     pytest.param(lambda m: m.update(alpha=10**400), "too large", id="huge-int-alpha"),
+    pytest.param(lambda m: m.update(alpha=True), "alpha True", id="bool-alpha"),
 ])
 def test_classify_model_count_or_mode_of_wrong_type_data_error(
         tmp_path, small_corpus, capsys, edit, shown):
@@ -329,6 +346,37 @@ def test_link_at_corpus_root_warned_by_every_command(tmp_path, small_corpus, cap
         assert warnings == ["warning: x: skipped corpus entry (link)"], argv
     ids = [line.split(",")[0] for line in (tmp_path / "extract").read_text().splitlines()]
     assert ids == ["app_id"] + [f"ben{i}" for i in range(6)] + [f"mal{i}" for i in range(6)]
+
+
+@pytest.mark.parametrize("name, shown", [
+    ("x\nwarning: b: forged line", "x\\x0awarning: b: forged line"),
+    ("y\r\x85\u2028\x7f", "y\\x0d\\x85\\u2028\\x7f"),
+    ("z\\x0a\udcff", "z\\\\x0a\\udcff"),  # a literal backslash, an undecodable byte
+], ids=["newline", "controls-and-separators", "backslash-and-surrogate"])
+def test_tree_names_cannot_forge_a_warning_line(tmp_path, capsys, name, shown):
+    root = tmp_path / "corpus"
+    d = write_sample(root, "a", manifest=manifest_with("INTERNET"), code={"A.smali": "\n"})
+    os.symlink("A.smali", d / "smali" / name)
+    assert main(["extract", "--corpus", str(root), "--mode", "C",
+                 "--out", str(tmp_path / "m.csv")]) == 0
+    assert capsys.readouterr().err.splitlines() == [f"warning: a: skipped smali/{shown} (link)"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.text(st.characters(exclude_categories=())
+                        | st.sampled_from("\\\n\r\x0b\x1c\x7f\x85\u2028\u2029\ud800\udcff"),
+                        max_size=12), max_size=4))
+def test_printed_warning_is_one_line_that_unescapes_to_the_record(records):
+    # all code points, lone surrogates included: each record prints as exactly one line
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        _warn(records)
+    lines = err.getvalue().split("\n")
+    assert lines.pop() == ""
+    assert [line.splitlines() for line in lines] == [[line] for line in lines]
+    assert all(line.encode("utf-8") for line in lines)  # no lone surrogate left
+    shown = [line.removeprefix("warning: ") for line in lines]
+    assert [s.encode("ascii", "backslashreplace").decode("unicode_escape") for s in shown] == records
 
 
 def test_extraction_warnings_printed_by_every_extracting_command(tmp_path, small_corpus, capsys):

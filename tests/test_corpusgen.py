@@ -157,6 +157,15 @@ def test_generate_nonempty_out_fatal(tmp_path, cat):
         generate(FrequencySpec((), 1, 1), out)
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_generate_out_at_or_under_a_file_fatal(tmp_path, below):
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    with pytest.raises(GenerationError, match="output directory"):
+        generate(FrequencySpec((), 1, 1), afile / below)
+    assert afile.read_text() == "x"
+
+
 def test_generate_labels_file_format(tmp_path, cat):
     spec = FrequencySpec((), n_benign=2, n_suspicious=1, seed=0)
     g = generate(spec, tmp_path / "corpus")

@@ -6,12 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from apksift.classifier import train
 from apksift.corpus import ClassLabel
 from apksift.detectors import FeatureMatrix
 from apksift.errors import EvaluationError
 from apksift.evaluation import (
     ConfusionCounts,
     _fit_and_score,
+    _rows,
     confusion,
     cross_validate,
     emit_report,
@@ -20,6 +22,9 @@ from apksift.evaluation import (
     roc,
     stratified_kfold,
 )
+from apksift.ranking import PRESETS, build_contingency
+
+from reference import naive_cross_validate
 
 BEN, SUS = ClassLabel.BENIGN, ClassLabel.SUSPICIOUS
 
@@ -314,20 +319,67 @@ def test_leakage_guard_test_labels_never_touch_training():
     labels = {i: lab for i, lab in zip(matrix.ids, matrix.labels)}
     folds = stratified_kfold(list(matrix.ids), labels, k=5, seed=11)
     test_rows = [matrix.ids.index(t) for t in folds[0]]
-    train_rows = [r for r in range(len(matrix)) if r not in test_rows]
 
-    model_a, sel_a, post_a = _fit_and_score(matrix, train_rows, test_rows, None, 2, 1.0)
-    # permute the labels of the test rows only; training must be unaffected
+    def fit(m):
+        return _fit_and_score(build_contingency(m), _rows(m, test_rows), None, 2, 1.0)
+
+    model_a, sel_a, post_a = fit(matrix)
+    # flip the labels of the test rows only; training must be unaffected
     permuted = list(matrix.labels)
     for row in test_rows:
         permuted[row] = BEN if permuted[row] is SUS else SUS
-    shuffled = FeatureMatrix(
+    model_b, sel_b, post_b = fit(FeatureMatrix(
         matrix.ids, tuple(permuted), matrix.feature_names, matrix.bits, matrix.mode
-    )
-    model_b, sel_b, post_b = _fit_and_score(shuffled, train_rows, test_rows, None, 2, 1.0)
+    ))
     assert model_a == model_b
     assert sel_a == sel_b
     assert post_a == post_b
+    # and the model is the one the training rows alone give
+    train_rows = [r for r in range(len(matrix)) if r not in test_rows]
+    tables = build_contingency(_rows(matrix, train_rows))
+    assert model_a == train(tables, sel_a.names, alpha=1.0, catalog_mode=matrix.mode)
+
+
+def _oracle_matrix(rng, n_ben, n_sus, n_features):
+    """Random rows with all-zero, all-one, one-class-only and skewed columns."""
+    labels = [BEN] * n_ben + [SUS] * n_sus
+    rng.shuffle(labels)
+    columns = []
+    for j in range(n_features):
+        kind = j % 5
+        if kind == 0:
+            columns.append([0] * len(labels))
+        elif kind == 1:
+            columns.append([1] * len(labels))
+        elif kind == 2:
+            columns.append([int(lab is SUS and rng.random() < 0.6) for lab in labels])
+        else:
+            p_ben, p_sus = rng.random(), rng.random()
+            columns.append([int(rng.random() < (p_sus if lab is SUS else p_ben))
+                            for lab in labels])
+    bits = np.array(columns, dtype=np.uint8).T
+    ids = tuple(f"app{i:03d}" for i in rng.sample(range(1000), len(labels)))
+    names = tuple(f"f{j:02d}" for j in range(n_features))
+    return FeatureMatrix(ids, tuple(labels), names, bits, rng.choice(("M", "P", None)))
+
+
+def test_cross_validate_equals_naive_oracle():
+    rng = random.Random(26)
+    selections = [{"preset": p} for p in PRESETS] + [{"top_n": n} for n in (1, 3, 20)]
+    case = 0
+    for k in (2, 3, 5, 10):
+        for alpha in (0.0, 1.0):
+            # one class at its minimum size k, then the other, then two random sizes
+            for sizes in ((k, 4 * k + 9), (4 * k + 9, k), None, None):
+                n_ben, n_sus = sizes or (rng.randint(k, 4 * k + 9), rng.randint(k, 4 * k + 9))
+                matrix = _oracle_matrix(rng, n_ben, n_sus, rng.randint(20, 26))
+                selection = selections[case % len(selections)]
+                case += 1
+                seed = rng.randrange(2**32)
+                fast = cross_validate(matrix, **selection, alpha=alpha, k=k, seed=seed)
+                naive = naive_cross_validate(matrix, **selection, alpha=alpha, k=k, seed=seed)
+                naive.config = fast.config
+                assert report_to_dict(fast) == report_to_dict(naive), (k, alpha, selection)
 
 
 # --- emit_report -------------------------------------------------------------------

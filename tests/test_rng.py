@@ -8,23 +8,32 @@ def test_splitmix64_reference_outputs():
         0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
+SEEDS = (0, 1, 7, 42, 2**63 + 5, 2**64 - 1)
+
+
+def _fisher_yates(items: list, rng: SplitMix64) -> None:
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.next_u64() % (i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
 def test_shuffle_is_fisher_yates_over_next_u64():
-    for seed, n in ((0, 0), (1, 1), (7, 2), (42, 97), (2**64 - 1, 500)):
-        items = list(range(n))
-        SplitMix64(seed).shuffle(items)
-        expected, draws = list(range(n)), SplitMix64(seed)
-        for i in range(n - 1, 0, -1):
-            j = draws.next_u64() % (i + 1)
-            expected[i], expected[j] = expected[j], expected[i]
-        assert items == expected, (seed, n)
+    for seed in SEEDS:
+        for n in (0, 1, 2, 97, 2000):
+            items, expected = list(range(n)), list(range(n))
+            SplitMix64(seed).shuffle(items)
+            _fisher_yates(expected, SplitMix64(seed))
+            assert items == expected, (seed, n)
 
 
 def test_shuffle_continues_the_stream():
-    rng, ref = SplitMix64(5), SplitMix64(5)
-    rng.shuffle(list(range(10)))
-    for _ in range(9):
-        ref.next_u64()
-    assert rng.next_u64() == ref.next_u64()
+    # A shuffle of n items takes n - 1 draws; the draws after it come next in the stream.
+    for seed in SEEDS:
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        for n in (0, 1, 2, 10, 2000):
+            rng.shuffle(list(range(n)))
+            _fisher_yates(list(range(n)), ref)
+            assert [rng.next_u64() for _ in range(3)] == [ref.next_u64() for _ in range(3)]
 
 
 def test_fnv1a64_reference_values():
