@@ -112,15 +112,14 @@ class FeatureDef:
 class ScanPlan:
     """What extraction needs from a catalog, derived once per catalog.
 
-    ``code`` holds the content-kind features that search code files and
-    ``payload`` those that search assets, resources or native libraries
-    (one feature may be in both); all keep catalog order.
+    ``content`` maps every scope to the content-kind features that search
+    it, and ``suffixes`` every scope to its payload-extension features, in
+    catalog order (a feature is under each of its scopes).
     """
 
-    permissions: MappingProxyType      # android.permission.<NAME> -> feature indices
-    code: tuple[FeatureDef, ...]
-    payload: tuple[FeatureDef, ...]
-    suffixes: tuple[FeatureDef, ...]    # payload-extension features
+    permissions: MappingProxyType  # android.permission.<NAME> -> feature indices
+    content: MappingProxyType      # Scope -> tuple[FeatureDef, ...]
+    suffixes: MappingProxyType     # Scope -> tuple[FeatureDef, ...]
 
 
 @dataclass(frozen=True)
@@ -145,11 +144,11 @@ class FeatureCatalog:
             if d.kind == "permission":
                 permissions[d.permission_name] = permissions.get(d.permission_name, ()) + (d.index,)
         content = [d for d in self.defs if d.kind in CONTENT_KINDS]
+        suffixes = [d for d in self.defs if d.kind == "payload-extension"]
         return ScanPlan(
             permissions=MappingProxyType(permissions),
-            code=tuple(d for d in content if Scope.CODE in d.scopes),
-            payload=tuple(d for d in content if not d.scopes.isdisjoint(PAYLOAD_SCOPES)),
-            suffixes=tuple(d for d in self.defs if d.kind == "payload-extension"),
+            content=MappingProxyType({s: tuple(d for d in content if s in d.scopes) for s in Scope}),
+            suffixes=MappingProxyType({s: tuple(d for d in suffixes if s in d.scopes) for s in Scope}),
         )
 
     def by_name(self, name: str) -> FeatureDef:
@@ -242,22 +241,6 @@ def load_catalog(path: Path | str, mode: str = "M") -> FeatureCatalog:
     if str(path) == "builtin":
         return parse_catalog(builtin_catalog(), mode)
     return parse_catalog(files.read_text(path, "catalog", CatalogError), mode)
-
-
-def serialize_catalog(catalog: FeatureCatalog) -> str:
-    """Canonical JSON serialization (the inverse of parse_catalog)."""
-    items = []
-    for d in catalog.defs:
-        pattern: object = d.pattern[0] if len(d.pattern) == 1 else list(d.pattern)
-        items.append(
-            {
-                "name": d.name,
-                "kind": d.kind,
-                "pattern": pattern,
-                "scopes": sorted(s.value for s in d.scopes),
-            }
-        )
-    return json.dumps(items, indent=2, ensure_ascii=False) + "\n"
 
 
 def subset_catalog(catalog: FeatureCatalog, names) -> FeatureCatalog:

@@ -58,25 +58,20 @@ class Scope(enum.Enum):
     NATIVE_LIB = "native-lib"
     OTHER = "other"
 
-    # Members are singletons; identity hashing keeps per-file scope tests in C.
-    __hash__ = object.__hash__
 
+#: The one map from a sample's top-level directory to the scope of its files.
+TOP_SCOPES = {"smali": Scope.CODE, "assets": Scope.ASSETS, "res": Scope.RESOURCES,
+              "lib": Scope.NATIVE_LIB}
 
 #: Scopes holding secondary payload material (everything but manifest/code).
-PAYLOAD_SCOPES = (Scope.ASSETS, Scope.RESOURCES, Scope.NATIVE_LIB)
+PAYLOAD_SCOPES = tuple(s for s in TOP_SCOPES.values() if s is not Scope.CODE)
 
 
 def scope_of(relative_path: str) -> Scope:
     """Map a corpus-relative member path to its scope by path prefix."""
     if relative_path == MANIFEST_NAME:
         return Scope.MANIFEST
-    head = relative_path.split("/", 1)[0]
-    return {
-        "smali": Scope.CODE,
-        "assets": Scope.ASSETS,
-        "res": Scope.RESOURCES,
-        "lib": Scope.NATIVE_LIB,
-    }.get(head, Scope.OTHER)
+    return TOP_SCOPES.get(relative_path.split("/", 1)[0], Scope.OTHER)
 
 
 #: Sort key of sample ids and member paths: the raw bytes of the name.
@@ -108,35 +103,35 @@ class AppSample:
     label: ClassLabel | None
     directory: str
 
-    def member_files(self, tops: tuple[str, ...],
+    def member_files(self, scopes: tuple[Scope, ...],
                      warnings: list[str] | None = None) -> list[tuple[str, Scope]]:
-        """Byte-sorted (relative path, scope) of the regular files under ``tops``.
+        """Byte-sorted (relative path, scope) of the regular files in ``scopes``.
 
         Descends only into real directories. Any other entry, and any
         directory it cannot list, is skipped with a warning, sorted by path.
         """
-        rels, skipped = [], []
-        stack = [(self.directory, "")]
+        found, skipped = [], []
+        stack = [(self.directory, "", None)]
         while stack:
-            directory, prefix = stack.pop()
+            directory, prefix, scope = stack.pop()
             try:
                 with os.scandir(directory) as it:
-                    entries = [e for e in it if prefix or e.name in tops]
+                    entries = [e for e in it if prefix or TOP_SCOPES.get(e.name) in scopes]
             except OSError as exc:
                 skipped.append((prefix.rstrip("/") or ".", f"cannot list: {exc.strerror or exc}"))
                 continue
             for entry in entries:
                 rel = prefix + entry.name
                 if entry.is_dir(follow_symlinks=False):
-                    stack.append((entry.path, rel + "/"))
+                    stack.append((entry.path, rel + "/", scope or TOP_SCOPES[entry.name]))
                 elif entry.is_file(follow_symlinks=False):
-                    rels.append(rel)
+                    found.append((rel, scope or TOP_SCOPES[entry.name]))
                 else:
                     skipped.append((rel, "link" if entry.is_symlink() else "not a regular file"))
         if warnings is not None:
             skipped.sort(key=lambda item: PATH_KEY(item[0]))
             warnings.extend(f"{self.id}: skipped {rel} ({why})" for rel, why in skipped)
-        return [(rel, scope_of(rel)) for rel in sorted(rels, key=PATH_KEY)]
+        return sorted(found, key=lambda item: PATH_KEY(item[0]))
 
     def read(self, rel: str, cap: int, warnings: list[str]) -> bytes | None:
         """Bytes of member ``rel`` from the capped reader; None, with a warning, if refused."""
@@ -238,12 +233,13 @@ def read_manifest(sample: AppSample, max_file_bytes: int = DEFAULT_MAX_FILE_BYTE
     return data.decode("utf-8", errors="replace")
 
 
-def enumerate_code_units(sample: AppSample, warnings: list[str] | None = None) -> list[str]:
-    """Relative paths of all code-scope files, byte-sorted; skips are warned."""
-    return [rel for rel, _ in sample.member_files(("smali",), warnings)]
+def enumerate_code_units(sample: AppSample,
+                         warnings: list[str] | None = None) -> list[tuple[str, Scope]]:
+    """(relative path, ``Scope.CODE``) of every code file, byte-sorted; skips are warned."""
+    return sample.member_files((Scope.CODE,), warnings)
 
 
 def enumerate_payload_files(sample: AppSample,
                             warnings: list[str] | None = None) -> list[tuple[str, Scope]]:
     """(relative path, scope) for assets/resources/native-lib files, byte-sorted."""
-    return sample.member_files(("assets", "lib", "res"), warnings)
+    return sample.member_files(PAYLOAD_SCOPES, warnings)

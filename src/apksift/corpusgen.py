@@ -129,11 +129,10 @@ def _compute_triggers(entries: tuple[FrequencyEntry, ...]) -> dict[str, set[str]
             hit = {f.name}
         elif f.kind in CONTENT_KINDS:
             line = _code_line(f)
-            hit = {g.name for g in plan.code if g.on_one_line(line)}
+            hit = {g.name for g in plan.content[Scope.CODE] if g.on_one_line(line)}
         else:
             path = _payload_path(f)
-            hit = {g.name for g in plan.suffixes
-                   if Scope.ASSETS in g.scopes and path.endswith(g.pattern[0])}
+            hit = {g.name for g in plan.suffixes[Scope.ASSETS] if path.endswith(g.pattern[0])}
         if f.name not in hit:
             # content features are planted as code lines, payload features as
             # assets files; a def scoped away from those locations cannot be

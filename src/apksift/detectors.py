@@ -28,11 +28,12 @@ ASCII character. A file is decoded at most once, and only while a
 compound or non-ASCII pattern is still pending for it.
 
 The line rule and byte forms of a pattern live on ``catalog.FeatureDef``
-and the features per scope in the catalog's ``plan``; this module holds
-the one per-file matcher and one scan loop for the code and payload
-walks. Files are read only through ``AppSample.read``: each link, special
-file or file over ``max_file_bytes`` (the manifest too) is skipped with a
-warning.
+and each scope's features in the catalog's ``plan``. One scan loop runs
+the code walk, then the payload walk, each only while some feature that
+searches one of its scopes is unset, and takes a scope's features once
+per run of same-scope files. Files are read only through
+``AppSample.read``: each link, special file or file over
+``max_file_bytes`` (the manifest too) is skipped with a warning.
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ from xml.parsers import expat
 import numpy as np
 
 from . import files
-from .catalog import FeatureCatalog, FeatureDef, ScanPlan
+from .catalog import FeatureCatalog, FeatureDef
 from .corpus import (
     DEFAULT_MAX_FILE_BYTES,
+    PAYLOAD_SCOPES,
     AppSample,
     ClassLabel,
     Corpus,
@@ -162,21 +164,6 @@ def _hits(data: bytes, scope: Scope, pending: list[FeatureDef]) -> list[FeatureD
     return hits
 
 
-def _walks(sample: AppSample, plan: ScanPlan, bits: bytearray, warnings: list[str]):
-    """(files, pending features, suffix features) of the code walk, then the payload walk.
-
-    A walk is listed only while it has work: code features for the code
-    walk; payload-extension features or payload features the code walk
-    left unset for the payload walk.
-    """
-    if plan.code:
-        code = [(rel, Scope.CODE) for rel in enumerate_code_units(sample, warnings)]
-        yield code, list(plan.code), ()
-    pending = [d for d in plan.payload if not bits[d.index]]
-    if pending or plan.suffixes:
-        yield enumerate_payload_files(sample, warnings), pending, plan.suffixes
-
-
 def extract_features(
     sample: AppSample,
     catalog: FeatureCatalog,
@@ -209,19 +196,26 @@ def extract_features(
                 for i in plan.permissions.get(name, ()):
                     bits[i] = 1
 
-    for files, pending, suffixes in _walks(sample, plan, bits, warnings):
-        for rel, scope in files:
+    # The walks are module globals read per call: stage timing wraps them by name.
+    for walk, scopes in ((enumerate_code_units, (Scope.CODE,)),
+                         (enumerate_payload_files, PAYLOAD_SCOPES)):
+        if all(bits[d.index] for s in scopes for d in plan.content[s] + plan.suffixes[s]):
+            continue
+        scope = None
+        for rel, in_scope in walk(sample, warnings):
+            if in_scope is not scope:
+                scope, suffixes = in_scope, plan.suffixes[in_scope]
+                pending = [d for d in plan.content[scope] if not bits[d.index]]
             for d in suffixes:
-                if scope in d.scopes and rel.endswith(d.pattern[0]):
+                if rel.endswith(d.pattern[0]):
                     bits[d.index] = 1
-            here = [d for d in pending if scope in d.scopes]
-            if not here:
+            if not pending:
                 continue
             data = sample.read(rel, max_file_bytes, warnings)
             if data is None:
                 continue
             scanned[scope.value] += 1
-            hits = _hits(data, scope, here)
+            hits = _hits(data, scope, pending)
             for d in hits:
                 bits[d.index] = 1
             if hits:

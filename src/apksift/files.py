@@ -3,22 +3,35 @@
 Files are UTF-8; a leading BOM is dropped on input. CSV is what ``csv`` writes
 with LF line ends, read back by ``csv`` over the raw line ends. CSV keeps
 undecodable bytes as surrogate escapes (ids compare as written); JSON decodes
-strictly. An input must be a regular file. A file that cannot be read, decoded
+strictly. An input must be a regular file of at most ``MAX_INPUT_BYTES``; an
+output must be a regular file or absent. A file that cannot be read, decoded
 or written raises the caller's ``ApkSiftError`` subclass, naming the file.
 """
 
 import csv
+import errno
 import io
 import os
 import stat
 
+#: The largest input file read (a model, catalog, labels or table file).
+MAX_INPUT_BYTES = 64 * 1024 * 1024
+
+# Without O_NONBLOCK a FIFO would block the open until the other end came.
+_NONBLOCK = getattr(os, "O_NONBLOCK", 0)
+
 
 def _read(path, what: str, error: type, errors: str) -> str:
-    try:  # without O_NONBLOCK a FIFO would block the open until a writer came
-        with open(os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)), "rb") as fh:
-            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+    try:
+        with open(os.open(path, os.O_RDONLY | _NONBLOCK), "rb") as fh:
+            info = os.fstat(fh.fileno())
+            if not stat.S_ISREG(info.st_mode):
                 raise OSError("not a regular file")
-            return fh.read().decode("utf-8-sig", errors)
+            # A file that grows past the cap during the read is refused too.
+            data = fh.read(MAX_INPUT_BYTES + 1) if info.st_size <= MAX_INPUT_BYTES else None
+            if data is None or len(data) > MAX_INPUT_BYTES:
+                raise OSError(f"exceeds {MAX_INPUT_BYTES} byte cap")
+            return data.decode("utf-8-sig", errors)
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
@@ -43,12 +56,17 @@ def read_rows(path, header: tuple[str, ...], what: str, error: type) -> list[tup
 
 
 def write_text(path, text: str, error: type) -> None:
-    """Write ``text`` as UTF-8, line ends as given."""
-    try:
-        with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    """Write ``text`` as UTF-8, line ends as given, over a regular file or a new one."""
+    try:  # truncated only once known to be a regular file
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | _NONBLOCK, 0o666)
+        with open(fd, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                raise OSError("not a regular file")
+            os.ftruncate(fd, 0)
             fh.write(text)
-    except OSError as exc:
-        raise error(f"cannot write {path}: {exc.strerror or exc}") from exc
+    except OSError as exc:  # ENXIO: a FIFO with no reader, or a socket
+        why = "not a regular file" if exc.errno == errno.ENXIO else exc.strerror or exc
+        raise error(f"cannot write {path}: {why}") from exc
 
 
 def write_csv(path, header: list, rows, error: type) -> None:

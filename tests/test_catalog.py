@@ -5,13 +5,13 @@ from pathlib import Path
 import pytest
 
 from apksift.catalog import (
+    CONTENT_KINDS,
     builtin_catalog,
     load_catalog,
     parse_catalog,
-    serialize_catalog,
     subset_catalog,
 )
-from apksift.corpus import Scope
+from apksift.corpus import PAYLOAD_SCOPES, Scope
 from apksift.errors import CatalogError
 
 from published_values import TABLE4, TABLE5
@@ -32,11 +32,6 @@ def test_mode_partition(catalog_p, catalog_c, catalog_m):
 def test_ids_reindexed_densely(catalog_p, catalog_c, catalog_m):
     for cat in (catalog_p, catalog_c, catalog_m):
         assert [d.index for d in cat] == list(range(len(cat)))
-
-
-def test_roundtrip_byte_identical(catalog_m):
-    text = builtin_catalog()
-    assert serialize_catalog(parse_catalog(text, "M")) == text
 
 
 def test_builtin_parses_in_all_modes():
@@ -184,13 +179,18 @@ def test_scan_plan_partitions_catalog(catalog_m):
     assert plan.permissions["android.permission.READ_SMS"] == (
         catalog_m.by_name("READ_SMS").index,)
     assert len(plan.permissions) == 131
-    code = {catalog_m.defs[d.index].name: d for d in plan.code}
+    assert set(plan.content) == set(plan.suffixes) == set(Scope)  # every scope is a key
+    code = {d.name: d for d in plan.content[Scope.CODE]}
     assert code["chmod"].needle == b"chmod"
     assert code["Runtime.exec"].needle is None  # compound: matched line by line
-    assert [d.index for d in plan.code] == sorted(d.index for d in plan.code)
-    assert {catalog_m.defs[d.index].name for d in plan.payload} >= {"chmod", "JNI_OnLoad"}
-    assert "getDeviceId" not in {catalog_m.defs[d.index].name for d in plan.payload}
-    assert [d.name for d in plan.suffixes] == [".apk", ".jar", ".so"]
+    for d in catalog_m:  # each feature sits under exactly its scopes, in catalog order
+        for kinds, by_scope in ((CONTENT_KINDS, plan.content), ({"payload-extension"}, plan.suffixes)):
+            assert {s for s in Scope if d in by_scope[s]} == (d.scopes if d.kind in kinds else set())
+    for group in (*plan.content.values(), *plan.suffixes.values()):
+        assert [d.index for d in group] == sorted(d.index for d in group)
+    assert {d.name for d in plan.content[Scope.ASSETS]} >= {"chmod", "JNI_OnLoad"}
+    assert "getDeviceId" not in {d.name for s in PAYLOAD_SCOPES for d in plan.content[s]}
+    assert [d.name for d in plan.suffixes[Scope.ASSETS]] == [".apk", ".jar", ".so"]
 
 
 def test_scan_plan_non_ascii_and_shared_permission():
@@ -201,14 +201,25 @@ def test_scan_plan_non_ascii_and_shared_permission():
     ])
     plan = parse_catalog(text).plan
     assert plan.permissions == {"android.permission.READ_SMS": (0, 1)}
-    (key,) = plan.code
+    (key,) = plan.content[Scope.CODE]
     assert key.needle is None and key.encoded == ("Schlüssel".encode("utf-8"),)
-    assert plan.payload == (key,)
+    assert plan.content[Scope.NATIVE_LIB] == (key,)
+    assert plan.content[Scope.ASSETS] == plan.content[Scope.RESOURCES] == ()
 
 
-def test_build_catalog_tool_reproduces_shipped_file():
+def _build_catalog_tool():
     spec = importlib.util.spec_from_file_location(
         "build_catalog", Path(__file__).resolve().parents[1] / "tools" / "build_catalog.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    assert tool.catalog_text() == builtin_catalog()
+    return tool
+
+
+def test_roundtrip_byte_identical():
+    # The canonical serializer lives with its one caller, the catalog builder.
+    text = builtin_catalog()
+    assert _build_catalog_tool().serialize_catalog(parse_catalog(text, "M")) == text
+
+
+def test_build_catalog_tool_reproduces_shipped_file():
+    assert _build_catalog_tool().catalog_text() == builtin_catalog()

@@ -422,6 +422,17 @@ def test_classify_code_only_model_never_reads_manifest(tmp_path, small_corpus, c
     assert _classify_warnings(tmp_path, small_corpus, capsys, "chmod") == []
 
 
+def test_classify_lists_no_payload_tree_once_code_set_its_features(tmp_path, small_corpus, capsys):
+    # chmod searches code and assets. Where the code sets it, assets/ is
+    # never listed, so its link draws no warning; where it does not, it does.
+    root, _ = small_corpus
+    for app in ("ben1", "mal1"):
+        (root / app / "assets").mkdir()
+        os.symlink("../AndroidManifest.xml", root / app / "assets" / "ln")
+    assert _classify_warnings(tmp_path, small_corpus, capsys, "chmod") == [
+        "warning: ben1: skipped assets/ln (link)"]
+
+
 def test_bench_prints_extraction_warnings(tmp_path, small_corpus, capsys):
     root, labels = small_corpus
     (root / "ben0" / "AndroidManifest.xml").write_text(manifest_with("INTERNET")[:60])

@@ -149,9 +149,9 @@ def test_enumerate_code_units_sorted(tmp_path):
     write_sample(tmp_path, "a", code={"b/Z.smali": "", "a/A.smali": "", "M.smali": ""})
     corpus = load_corpus(tmp_path)
     assert enumerate_code_units(corpus.samples[0]) == [
-        "smali/M.smali",
-        "smali/a/A.smali",
-        "smali/b/Z.smali",
+        ("smali/M.smali", Scope.CODE),
+        ("smali/a/A.smali", Scope.CODE),
+        ("smali/b/Z.smali", Scope.CODE),
     ]
 
 
@@ -197,7 +197,7 @@ def test_member_files_unlistable_directory_skipped(tmp_path, monkeypatch):
         return real_scandir(path)
 
     monkeypatch.setattr(os, "scandir", guarded)
-    assert [rel for rel, _ in sample.member_files(("smali",))] == [
+    assert [rel for rel, _ in sample.member_files((Scope.CODE,))] == [
         "smali/A.smali", "smali/ok/C.smali"]
 
 
@@ -205,7 +205,7 @@ def test_member_files_missing_directory_empty(tmp_path):
     write_sample(tmp_path, "a", code={"A.smali": ""})
     sample = load_corpus(tmp_path).samples[0]
     os.rename(sample.directory, tmp_path / "gone")
-    assert sample.member_files(("smali",)) == []
+    assert sample.member_files((Scope.CODE,)) == []
 
 
 def test_scope_mapping():

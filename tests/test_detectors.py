@@ -423,14 +423,17 @@ def test_extract_corpus_calls_extract_features_per_sample(tmp_path, cat, monkeyp
     assert int(matrix.bits.sum()) == 3
 
 
-@pytest.mark.parametrize("mode, stages", [
+@pytest.mark.parametrize("which, stages", [
     ("M", ["read_manifest", "enumerate_code_units", "enumerate_payload_files"]),
     ("P", ["read_manifest"]),
+    ("chmod", ["enumerate_code_units"]),
 ])
-def test_stage_calls_per_sample(tmp_path, monkeypatch, mode, stages):
+def test_stage_calls_per_sample(tmp_path, monkeypatch, which, stages):
     # Stage timing wraps these three through detectors' module attributes
     # and counts walks per sample: mode M lists each walk once per sample,
-    # and mode P never walks.
+    # and mode P never walks. ``which`` is a builtin mode, or one builtin
+    # feature alone: chmod searches code and assets, and every sample's
+    # code sets it, so the payload walk is never listed.
     for i in range(3):
         write_sample(tmp_path, f"s{i}", manifest=manifest_with("READ_SMS"),
                      code={"A.smali": "chmod\n"}, payloads=["assets/p.apk"])
@@ -444,7 +447,9 @@ def test_stage_calls_per_sample(tmp_path, monkeypatch, mode, stages):
 
     for name in ("read_manifest", "enumerate_code_units", "enumerate_payload_files"):
         monkeypatch.setattr(detectors, name, counted(name, getattr(detectors, name)))
-    extract_corpus(load_corpus(tmp_path), load_catalog("builtin", mode))
+    catalog = (load_catalog("builtin", which) if which in ("M", "P")
+               else subset_catalog(load_catalog("builtin", "M"), [which]))
+    extract_corpus(load_corpus(tmp_path), catalog)
     assert sorted(calls) == sorted((name, f"s{i}") for name in stages for i in range(3))
 
 

@@ -2,9 +2,10 @@
 
 Each case here is one way the per-module copies of those rules drifted:
 a write that fails, an input that is not UTF-8, a BOM, a CSV field the
-reader split differently from the writer, a blank row, and an input that
-is not a regular file. Every failure exits 2 with one error line that
-names the file, and no traceback.
+reader split differently from the writer, a blank row, an input that is
+not a regular file or is over the size cap, and an output that is not a
+regular file. Every failure exits 2 with one error line that names the
+file, and no traceback.
 """
 
 import csv
@@ -15,9 +16,11 @@ from pathlib import Path
 
 import pytest
 
+from apksift import files
 from apksift.catalog import builtin_catalog
 from apksift.cli import main
 from apksift.corpus import ClassLabel, load_corpus
+from apksift.errors import CorpusError
 
 from conftest import manifest_with, write_labels, write_sample
 
@@ -151,21 +154,77 @@ def test_labels_blank_rows_skipped(tmp_path):
     assert [s.label for s in load_corpus(tmp_path, labels)] == [ClassLabel.BENIGN]
 
 
+def _input_argv(what, corpus, path, out):
+    root = str(corpus[0])
+    return {
+        "model file": ["classify", "--corpus", root, "--model", str(path), "--out", out],
+        "catalog": ["extract", "--corpus", root, "--catalog", str(path), "--out", out],
+        "labels file": ["rank", "--corpus", root, "--labels", str(path), "--out", out],
+        "table file": ["gen", "--table", str(path), "--out", out],
+    }[what]
+
+
 @pytest.mark.parametrize("what", ["model file", "catalog", "labels file", "table file"])
 def test_fifo_input_is_refused_without_blocking(tmp_path, corpus, what):
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
-    root, labels, model = corpus
-    out = str(tmp_path / "out")
-    argv = {
-        "model file": ["classify", "--corpus", str(root), "--model", str(fifo), "--out", out],
-        "catalog": ["extract", "--corpus", str(root), "--catalog", str(fifo), "--out", out],
-        "labels file": ["rank", "--corpus", str(root), "--labels", str(fifo), "--out", out],
-        "table file": ["gen", "--table", str(fifo), "--out", out],
-    }[what]
+    argv = _input_argv(what, corpus, fifo, str(tmp_path / "out"))
     # A child process, so that a blocking open fails the test instead of hanging it.
     done = subprocess.run([sys.executable, "-m", "apksift.cli", *argv], capture_output=True,
                           text=True, timeout=10, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert done.returncode == 2
     assert done.stderr.splitlines() == [
         f"apksift: error: cannot read {what} {fifo}: not a regular file"]
+
+
+@pytest.mark.parametrize("what", ["model file", "catalog", "labels file", "table file"])
+def test_input_over_the_cap_is_refused(tmp_path, corpus, capsys, what):
+    big = tmp_path / "big"
+    with open(big, "wb") as fh:  # sparse: no block is written
+        fh.truncate(files.MAX_INPUT_BYTES + 1)
+    line = _error_line(capsys, _input_argv(what, corpus, big, str(tmp_path / "out")), big)
+    assert line == (f"apksift: error: cannot read {what} {big}: "
+                    f"exceeds {files.MAX_INPUT_BYTES} byte cap")
+    assert not (tmp_path / "out").exists()
+
+
+def test_input_that_grows_past_the_cap_during_the_read_is_refused(tmp_path, monkeypatch):
+    path = tmp_path / "catalog.json"
+    path.write_text("[]" + " " * 9)  # 11 bytes, though fstat says 0
+    real = os.fstat
+
+    def stale(fd):
+        fields = list(real(fd)[:10])
+        fields[6] = 0
+        return os.stat_result(fields)
+
+    monkeypatch.setattr(files, "MAX_INPUT_BYTES", 10)
+    monkeypatch.setattr(os, "fstat", stale)
+    with pytest.raises(CorpusError, match=f"cannot read catalog {path}: exceeds 10 byte cap"):
+        files.read_text(path, "catalog", CorpusError)
+
+
+@pytest.mark.parametrize("reader", [False, True])
+@pytest.mark.parametrize("command", ["extract", "evaluate"])
+def test_fifo_output_is_refused_without_blocking(tmp_path, corpus, command, reader):
+    root, labels, _ = corpus
+    if command == "extract":
+        fifo = tmp_path / "matrix.csv"
+        argv = ["extract", "--corpus", str(root), "--out", str(fifo)]
+    else:
+        fifo = tmp_path / "report" / "report.json"
+        fifo.parent.mkdir()
+        argv = ["evaluate", "--corpus", str(root), "--labels", str(labels), "--top", "1",
+                "--folds", "3", "--out", str(fifo.parent)]
+    os.mkfifo(fifo)
+    # With a reader open, the child's open succeeds and the file type refuses it.
+    held = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK) if reader else None
+    try:
+        # A child process, so that a blocking open fails the test instead of hanging it.
+        done = subprocess.run([sys.executable, "-m", "apksift.cli", *argv], capture_output=True,
+                              text=True, timeout=10, env={**os.environ, "PYTHONPATH": str(SRC)})
+    finally:
+        if held is not None:
+            os.close(held)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [f"apksift: error: cannot write {fifo}: not a regular file"]

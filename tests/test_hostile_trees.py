@@ -8,7 +8,8 @@ extraction must not raise, must open and list only paths under the
 sample root that reach no link on the way (a link as the final
 component of an open is refused by O_NOFOLLOW), must give the same bits,
 warnings and file counts whatever order directories list in, and must
-give the bits of the naive reference extractor (``reference.py``).
+give the bits of the naive reference extractor (``reference.py``). A second
+property draws the catalog too, so that each scope's features differ.
 """
 
 import json
@@ -45,12 +46,41 @@ KINDS = ["file", "big", "link-in-file", "link-in-dir", "link-up", "link-out-file
          "link-out-dir", "loop", "dangling", "fifo"]
 MANIFESTS = ["file", "absent", "big", "dir", "fifo", "link-out", "link-proc"]
 
+# Drawn catalogs: content patterns from the words of CONTENTS, each on a
+# non-empty subset of the scopes content kinds search, and suffixes of
+# LEAVES, each on a non-empty subset of the payload scopes.
+PATTERNS = ["chmod", "getDeviceId", ["Runtime", "exec("], "remount", "JNI_OnLoad",
+            "/system/bin", ["JNI_OnLoad", "/system/bin"]]
+SUFFIXES = sorted({os.fsdecode(leaf[leaf.rindex(b"."):]) for leaf in LEAVES})
+PAYLOAD = ["assets", "resources", "native-lib"]
+
+
+def _scopes(names):
+    return st.lists(st.sampled_from(names), min_size=1, unique=True)
+
+
+drawn_catalogs = st.tuples(
+    st.lists(st.tuples(st.sampled_from(PATTERNS), _scopes(["code", *PAYLOAD])), max_size=4),
+    st.lists(st.tuples(st.sampled_from(SUFFIXES), _scopes(PAYLOAD)), min_size=1, max_size=3),
+).map(lambda drawn: parse_catalog(json.dumps(
+    [{"name": f"c{i}", "kind": "string-token", "pattern": p, "scopes": s}
+     for i, (p, s) in enumerate(drawn[0])]
+    + [{"name": f"x{i}", "kind": "payload-extension", "pattern": p, "scopes": s}
+       for i, (p, s) in enumerate(drawn[1])])))
+
 nodes = st.lists(
     # About half the nodes are plain files, whose bits the reference checks.
     st.tuples(st.sampled_from(TOPS), st.lists(st.sampled_from(DIRS), max_size=3),
               st.sampled_from(LEAVES), st.one_of(st.just("file"), st.sampled_from(KINDS)),
               st.sampled_from(CONTENTS)),
     max_size=12,
+)
+
+# Plain files in the payload scopes, so that each drawn scope set is tested.
+payload_files = st.lists(
+    st.tuples(st.sampled_from([b"assets", b"lib", b"res"]), st.lists(st.sampled_from(DIRS), max_size=1),
+              st.sampled_from(LEAVES), st.just("file"), st.sampled_from(CONTENTS)),
+    min_size=1, max_size=4,
 )
 
 
@@ -120,7 +150,7 @@ def _reaches_no_link(root: bytes, path: bytes, final_may_link: bool) -> bool:
     return True
 
 
-def _extract(sample, listing_order):
+def _extract(sample, listing_order, catalog):
     real_open, real_scandir = os.open, os.scandir
     opened, listed = [], []
 
@@ -135,22 +165,18 @@ def _extract(sample, listing_order):
 
     with mock.patch.object(os, "open", recording_open), \
             mock.patch.object(os, "scandir", recording_scandir):
-        row, stats = extract_features(sample, CATALOG, max_file_bytes=CAP)
+        row, stats = extract_features(sample, catalog, max_file_bytes=CAP)
     return row, stats, opened, listed
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(manifest=st.sampled_from(MANIFESTS), linked_tops=st.lists(st.sampled_from(TOPS), max_size=2),
-       tree=nodes)
-def test_extraction_over_hostile_trees(manifest, linked_tops, tree):
+def _check(manifest, linked_tops, tree, catalog):
     base = os.fsencode(tempfile.mkdtemp(prefix="apksift-hostile-"))
     try:
         root = _build(base, manifest, linked_tops, tree)
         sample = load_corpus(os.fsdecode(root)).samples[0]
         app = os.fsencode(sample.directory)
-        forward = _extract(sample, lambda entries: entries)
-        backward = _extract(sample, lambda entries: entries[::-1])
+        forward = _extract(sample, lambda entries: entries, catalog)
+        backward = _extract(sample, lambda entries: entries[::-1], catalog)
         for _, _, opened, listed in (forward, backward):
             # A link as the final component is refused by O_NOFOLLOW, not followed.
             assert all(flags & os.O_NOFOLLOW for _, flags in opened), opened
@@ -159,6 +185,22 @@ def test_extraction_over_hostile_trees(manifest, linked_tops, tree):
         assert forward[0] == backward[0]
         assert forward[1].warnings == backward[1].warnings
         assert forward[1].files_scanned == backward[1].files_scanned
-        assert list(forward[0]) == reference_bits(str(sample.directory), CATALOG, CAP)
+        assert list(forward[0]) == reference_bits(str(sample.directory), catalog, CAP)
     finally:
         shutil.rmtree(base)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(manifest=st.sampled_from(MANIFESTS), linked_tops=st.lists(st.sampled_from(TOPS), max_size=2),
+       tree=nodes)
+def test_extraction_over_hostile_trees(manifest, linked_tops, tree):
+    _check(manifest, linked_tops, tree, CATALOG)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(catalog=drawn_catalogs, linked_tops=st.lists(st.sampled_from(TOPS), max_size=2), tree=nodes,
+       payloads=payload_files)
+def test_extraction_with_drawn_catalogs(catalog, linked_tops, tree, payloads):
+    _check("file", linked_tops, payloads + tree, catalog)

@@ -10,12 +10,13 @@ access, package-manager API, native code, reflection, cryptography,
 background processes, system commands, shell paths, intent actions).
 """
 
+import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from apksift.catalog import FeatureCatalog, FeatureDef, parse_catalog, serialize_catalog
+from apksift.catalog import FeatureCatalog, FeatureDef, parse_catalog
 from apksift.corpus import Scope
 
 PERMISSIONS = [
@@ -129,6 +130,22 @@ CODE_PROPERTIES = [
     ("intent.action.SMS_RECEIVED", "intent-action", "intent.action.SMS_RECEIVED", [CODE]),
     ("intent.action.NEW_OUTGOING_CALL", "intent-action", "intent.action.NEW_OUTGOING_CALL", [CODE]),
 ]
+
+
+def serialize_catalog(catalog: FeatureCatalog) -> str:
+    """Canonical JSON serialization (the inverse of parse_catalog)."""
+    items = []
+    for d in catalog.defs:
+        pattern: object = d.pattern[0] if len(d.pattern) == 1 else list(d.pattern)
+        items.append(
+            {
+                "name": d.name,
+                "kind": d.kind,
+                "pattern": pattern,
+                "scopes": sorted(s.value for s in d.scopes),
+            }
+        )
+    return json.dumps(items, indent=2, ensure_ascii=False) + "\n"
 
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "apksift" / "data" / "builtin_catalog.json"
