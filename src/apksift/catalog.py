@@ -114,12 +114,15 @@ class ScanPlan:
 
     ``content`` maps every scope to the content-kind features that search
     it, and ``suffixes`` every scope to its payload-extension features, in
-    catalog order (a feature is under each of its scopes).
+    catalog order (a feature is under each of its scopes). ``watched``
+    holds the indices of the features the code walk and the payload walk
+    serve: a walk is needed only while one of its features is unset.
     """
 
     permissions: MappingProxyType  # android.permission.<NAME> -> feature indices
     content: MappingProxyType      # Scope -> tuple[FeatureDef, ...]
     suffixes: MappingProxyType     # Scope -> tuple[FeatureDef, ...]
+    watched: tuple[tuple[int, ...], tuple[int, ...]]  # (code walk, payload walk)
 
 
 @dataclass(frozen=True)
@@ -149,6 +152,8 @@ class FeatureCatalog:
             permissions=MappingProxyType(permissions),
             content=MappingProxyType({s: tuple(d for d in content if s in d.scopes) for s in Scope}),
             suffixes=MappingProxyType({s: tuple(d for d in suffixes if s in d.scopes) for s in Scope}),
+            watched=tuple(tuple(d.index for d in self.defs if not d.scopes.isdisjoint(walked))
+                          for walked in ((Scope.CODE,), PAYLOAD_SCOPES)),
         )
 
     def by_name(self, name: str) -> FeatureDef:

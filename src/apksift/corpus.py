@@ -48,6 +48,9 @@ class ClassLabel(enum.Enum):
         return self.value
 
 
+_LABELS = {label.value: label for label in ClassLabel}
+
+
 class Scope(enum.Enum):
     """Where a member file lives inside a sample tree."""
 
@@ -68,10 +71,12 @@ PAYLOAD_SCOPES = tuple(s for s in TOP_SCOPES.values() if s is not Scope.CODE)
 
 
 def scope_of(relative_path: str) -> Scope:
-    """Map a corpus-relative member path to its scope by path prefix."""
+    """Map a corpus-relative member path to its scope by path prefix (a root
+    file named like a scope directory is in none)."""
     if relative_path == MANIFEST_NAME:
         return Scope.MANIFEST
-    return TOP_SCOPES.get(relative_path.split("/", 1)[0], Scope.OTHER)
+    top, sep, _ = relative_path.partition("/")
+    return TOP_SCOPES.get(top, Scope.OTHER) if sep else Scope.OTHER
 
 
 #: Sort key of sample ids and member paths: the raw bytes of the name.
@@ -107,8 +112,9 @@ class AppSample:
                      warnings: list[str] | None = None) -> list[tuple[str, Scope]]:
         """Byte-sorted (relative path, scope) of the regular files in ``scopes``.
 
-        Descends only into real directories. Any other entry, and any
-        directory it cannot list, is skipped with a warning, sorted by path.
+        Descends only into real directories: a top-level entry of a scope's
+        name that is not one (a link, a file) lists nothing. Any other entry,
+        and any directory it cannot list, is skipped with a warning, sorted by path.
         """
         found, skipped = [], []
         stack = [(self.directory, "", None)]
@@ -124,10 +130,12 @@ class AppSample:
                 rel = prefix + entry.name
                 if entry.is_dir(follow_symlinks=False):
                     stack.append((entry.path, rel + "/", scope or TOP_SCOPES[entry.name]))
-                elif entry.is_file(follow_symlinks=False):
-                    found.append((rel, scope or TOP_SCOPES[entry.name]))
-                else:
-                    skipped.append((rel, "link" if entry.is_symlink() else "not a regular file"))
+                elif prefix and entry.is_file(follow_symlinks=False):
+                    found.append((rel, scope))
+                elif entry.is_symlink():
+                    skipped.append((rel, "link"))
+                else:  # at the top, no non-directory holds a scope's files
+                    skipped.append((rel, "not a regular file" if prefix else "not a directory"))
         if warnings is not None:
             skipped.sort(key=lambda item: PATH_KEY(item[0]))
             warnings.extend(f"{self.id}: skipped {rel} ({why})" for rel, why in skipped)
@@ -166,13 +174,12 @@ def _read_labels(path: Path) -> dict[str, ClassLabel]:
         if len(row) < 2:
             raise CorpusError(f"{where} {lineno}: expected 'app_id,label', got {row!r}")
         app_id, label_text = row[0], row[1].strip()  # ids are compared as written
-        try:
-            label = ClassLabel(label_text)
-        except ValueError:
+        label = _LABELS.get(label_text)
+        if label is None:
             raise CorpusError(
                 f"{where} {lineno}: unknown label {label_text!r} "
                 f"(expected 'benign' or 'suspicious')"
-            ) from None
+            )
         if app_id in labels:
             raise CorpusError(f"{where} {lineno}: duplicate app id {app_id!r}")
         labels[app_id] = label
@@ -195,25 +202,21 @@ def load_corpus(root: Path | str, labels: Path | str | None = None) -> Corpus:
 
     with os.scandir(root) as it:
         entries = sorted(it, key=lambda e: PATH_KEY(e.name))
-    dir_ids = [e.name for e in entries if e.is_dir(follow_symlinks=False)]
-    warnings = tuple(f"{e.name}: skipped corpus entry (link)" for e in entries if e.is_symlink())
-    present = set(dir_ids)
-    missing = [app_id for app_id in label_map if app_id not in present]
-    if missing:
-        raise CorpusError(
-            "label rows reference missing app directories: " + ", ".join(sorted(missing))
-        )
-
-    samples = tuple(
-        AppSample(id=app_id, label=label_map.get(app_id), directory=os.path.join(root, app_id))
-        for app_id in dir_ids
-    )
-    counts = {
-        "benign": sum(1 for s in samples if s.label is ClassLabel.BENIGN),
-        "suspicious": sum(1 for s in samples if s.label is ClassLabel.SUSPICIOUS),
-        "unlabeled": sum(1 for s in samples if s.label is None),
-    }
-    return Corpus(samples=samples, root=root, label_counts=counts, warnings=warnings)
+    base = os.path.join(root, "")
+    samples, warnings = [], []
+    counts = {"benign": 0, "suspicious": 0, "unlabeled": 0}
+    for e in entries:
+        if e.is_dir(follow_symlinks=False):
+            label = label_map.get(e.name)
+            counts["unlabeled" if label is None else label.value] += 1
+            samples.append(AppSample(e.name, label, base + e.name))
+        elif e.is_symlink():
+            warnings.append(f"{e.name}: skipped corpus entry (link)")
+    if counts["benign"] + counts["suspicious"] != len(label_map):
+        present = {s.id for s in samples}
+        raise CorpusError("label rows reference missing app directories: "
+                          + ", ".join(sorted(i for i in label_map if i not in present)))
+    return Corpus(samples=tuple(samples), root=root, label_counts=counts, warnings=tuple(warnings))
 
 
 def read_manifest(sample: AppSample, max_file_bytes: int = DEFAULT_MAX_FILE_BYTES) -> str:

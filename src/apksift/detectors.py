@@ -50,7 +50,6 @@ from . import files
 from .catalog import FeatureCatalog, FeatureDef
 from .corpus import (
     DEFAULT_MAX_FILE_BYTES,
-    PAYLOAD_SCOPES,
     AppSample,
     ClassLabel,
     Corpus,
@@ -61,9 +60,11 @@ from .corpus import (
 )
 from .errors import CorpusError, ManifestMissing
 
-_ANDROID_NS = "http://schemas.android.com/apk/res/android"
+_NAME_KEY = "http://schemas.android.com/apk/res/android}name"
 _NAME_ATTR_RE = re.compile(r'android:name\s*=\s*"([^"]*)"')
-_SCOPE_VALUES = tuple(s.value for s in Scope)
+_NO_FILES = dict.fromkeys((s.value for s in Scope), 0)
+_MANIFEST = Scope.MANIFEST.value
+_LABEL_TEXT = {None: "", **{label: label.value for label in ClassLabel}}
 _BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -114,13 +115,17 @@ def declared_permissions(manifest_text: str) -> tuple[set[str], list[str]]:
     Well-formed XML is parsed properly (comments don't count); malformed
     documents degrade to a regex scan over android:name attributes. As in
     etree, after a DOCTYPE each entity reference expat leaves unexpanded
-    (undefined, or external) makes the document malformed.
+    (undefined, or external) makes the document malformed. Names are
+    namespace-expanded: an ``android:`` prefix bound to another URI names
+    nothing, and an unbound one is malformed XML.
     """
     names = set()
 
     def start(tag, attrs):
-        if tag.rpartition("}")[2] == "uses-permission":
-            names.add(attrs.get(_ANDROID_NS + "}name") or attrs.get("android:name"))
+        if tag == "uses-permission" or tag.endswith("}uses-permission"):  # "uri}local"
+            name = attrs.get(_NAME_KEY)
+            if name:
+                names.add(name)
 
     def doctype(*_):
         parser.CharacterDataHandler = lambda data: None  # keeps "&amp;" etc. from `unexpanded`
@@ -139,7 +144,9 @@ def declared_permissions(manifest_text: str) -> tuple[set[str], list[str]]:
     except expat.ExpatError as exc:
         names = set(_NAME_ATTR_RE.findall(manifest_text))
         return names, [f"malformed manifest XML ({exc}); fell back to attribute scan"]
-    return names - {None, ""}, []
+    finally:
+        del parser  # parser -> doctype -> parser: without this the parser waits for the cycle GC
+    return names, []
 
 
 def _hits(data: bytes, scope: Scope, pending: list[FeatureDef]) -> list[FeatureDef]:
@@ -178,8 +185,8 @@ def extract_features(
     start = time.perf_counter()
     plan = catalog.plan
     warnings: list[str] = []
-    scanned = dict.fromkeys(_SCOPE_VALUES, 0)
-    bits = bytearray(len(catalog))
+    scanned = _NO_FILES.copy()
+    bits = bytearray(len(catalog.defs))
 
     if plan.permissions:
         try:
@@ -189,22 +196,22 @@ def extract_features(
         except CorpusError as exc:
             warnings.append(f"{sample.id}: {exc}; permission features zeroed")
         else:
-            scanned[Scope.MANIFEST.value] += 1
+            scanned[_MANIFEST] += 1
             declared, manifest_warnings = declared_permissions(manifest)
-            warnings.extend(f"{sample.id}: {w}" for w in manifest_warnings)
+            for w in manifest_warnings:
+                warnings.append(f"{sample.id}: {w}")
             for name in declared:
                 for i in plan.permissions.get(name, ()):
                     bits[i] = 1
 
     # The walks are module globals read per call: stage timing wraps them by name.
-    for walk, scopes in ((enumerate_code_units, (Scope.CODE,)),
-                         (enumerate_payload_files, PAYLOAD_SCOPES)):
-        if all(bits[d.index] for s in scopes for d in plan.content[s] + plan.suffixes[s]):
+    for walk, watched in zip((enumerate_code_units, enumerate_payload_files), plan.watched):
+        if all(map(bits.__getitem__, watched)):
             continue
         scope = None
         for rel, in_scope in walk(sample, warnings):
             if in_scope is not scope:
-                scope, suffixes = in_scope, plan.suffixes[in_scope]
+                scope, key, suffixes = in_scope, in_scope.value, plan.suffixes[in_scope]
                 pending = [d for d in plan.content[scope] if not bits[d.index]]
             for d in suffixes:
                 if rel.endswith(d.pattern[0]):
@@ -214,7 +221,7 @@ def extract_features(
             data = sample.read(rel, max_file_bytes, warnings)
             if data is None:
                 continue
-            scanned[scope.value] += 1
+            scanned[key] += 1
             hits = _hits(data, scope, pending)
             for d in hits:
                 bits[d.index] = 1
@@ -248,11 +255,17 @@ def extract_corpus(
 
 def write_matrix_csv(matrix: FeatureMatrix, path: Path | str) -> None:
     """Matrix file: header ``app_id,label,<feature names>``, 0/1 cells, LF endings."""
-    text = matrix.bits.tobytes().translate(_BIT_TEXT).decode("ascii")
-    n = matrix.bits.shape[1]
-    rows = ([app_id, "" if label is None else label.value, *text[i * n:(i + 1) * n]]
-            for i, (app_id, label) in enumerate(zip(matrix.ids, matrix.labels)))
-    files.write_csv(path, ["app_id", "label", *matrix.feature_names], rows, CorpusError)
+    heads = zip(matrix.ids, map(_LABEL_TEXT.__getitem__, matrix.labels))
+    files.write_csv(path, ["app_id", "label", *matrix.feature_names], heads, CorpusError,
+                    _cell_runs(matrix.bits))
+
+
+def _cell_runs(bits: np.ndarray):
+    """Text of each row's 0/1 cells, each cell led by its comma (cells must be 0/1)."""
+    run = bytearray(b",0" * bits.shape[1])
+    for row in bits:
+        run[1::2] = row.tobytes()
+        yield run.translate(_BIT_TEXT).decode("ascii")
 
 
 def write_stats_csv(stats: ExtractionStats, path: Path | str) -> None:

@@ -13,6 +13,7 @@ import errno
 import io
 import os
 import stat
+from types import SimpleNamespace
 
 #: The largest input file read (a model, catalog, labels or table file).
 MAX_INPUT_BYTES = 64 * 1024 * 1024
@@ -27,10 +28,16 @@ def _read(path, what: str, error: type, errors: str) -> str:
             info = os.fstat(fh.fileno())
             if not stat.S_ISREG(info.st_mode):
                 raise OSError("not a regular file")
-            # A file that grows past the cap during the read is refused too.
-            data = fh.read(MAX_INPUT_BYTES + 1) if info.st_size <= MAX_INPUT_BYTES else None
-            if data is None or len(data) > MAX_INPUT_BYTES:
-                raise OSError(f"exceeds {MAX_INPUT_BYTES} byte cap")
+            over_cap = OSError(f"exceeds {MAX_INPUT_BYTES} byte cap")
+            if info.st_size > MAX_INPUT_BYTES:
+                raise over_cap
+            # read(n) allocates n bytes up front: ask for the file's own size + 1,
+            # and read on, up to the cap + 1, only if the file grew since fstat.
+            data = fh.read(info.st_size + 1)
+            if len(data) > info.st_size:
+                data += fh.read(MAX_INPUT_BYTES + 1 - len(data))
+            if len(data) > MAX_INPUT_BYTES:
+                raise over_cap
             return data.decode("utf-8-sig", errors)
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {getattr(exc, 'strerror', None) or exc}") from exc
@@ -69,10 +76,20 @@ def write_text(path, text: str, error: type) -> None:
         raise error(f"cannot write {path}: {why}") from exc
 
 
-def write_csv(path, header: list, rows, error: type) -> None:
-    """Write the ``header`` row, then ``rows``, as CSV with LF line ends."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+def write_csv(path, header: list, rows, error: type, tails=None) -> None:
+    """Write the ``header`` row, then ``rows``, as CSV with LF line ends.
+
+    ``tails``, if given, holds one string per row, written as is between the
+    row's last cell and its line end: further cells that need no quoting,
+    each led by its comma.
+    """
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    write_text(path, out.getvalue(), error)
+    if tails is None:
+        writer.writerows(rows)
+    else:
+        for row, tail in zip(rows, tails):
+            writer.writerow(row)  # one write call, one line
+            lines[-1] = lines[-1][:-1] + tail + "\n"
+    write_text(path, "".join(lines), error)

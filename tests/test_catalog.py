@@ -188,6 +188,11 @@ def test_scan_plan_partitions_catalog(catalog_m):
             assert {s for s in Scope if d in by_scope[s]} == (d.scopes if d.kind in kinds else set())
     for group in (*plan.content.values(), *plan.suffixes.values()):
         assert [d.index for d in group] == sorted(d.index for d in group)
+    code_walk, payload_walk = plan.watched  # the features each walk serves, by index
+    assert code_walk == tuple(d.index for d in plan.content[Scope.CODE])
+    assert set(payload_walk) == {d.index for s in PAYLOAD_SCOPES
+                                 for d in plan.content[s] + plan.suffixes[s]}
+    assert list(payload_walk) == sorted(payload_walk)
     assert {d.name for d in plan.content[Scope.ASSETS]} >= {"chmod", "JNI_OnLoad"}
     assert "getDeviceId" not in {d.name for s in PAYLOAD_SCOPES for d in plan.content[s]}
     assert [d.name for d in plan.suffixes[Scope.ASSETS]] == [".apk", ".jar", ".so"]
@@ -205,6 +210,7 @@ def test_scan_plan_non_ascii_and_shared_permission():
     assert key.needle is None and key.encoded == ("Schlüssel".encode("utf-8"),)
     assert plan.content[Scope.NATIVE_LIB] == (key,)
     assert plan.content[Scope.ASSETS] == plan.content[Scope.RESOURCES] == ()
+    assert plan.watched == ((2,), (2,))
 
 
 def _build_catalog_tool():

@@ -215,6 +215,7 @@ def test_scope_mapping():
     assert scope_of("res/raw/x.jar") is Scope.RESOURCES
     assert scope_of("lib/armeabi/libx.so") is Scope.NATIVE_LIB
     assert scope_of("META-INF/CERT.RSA") is Scope.OTHER
+    assert scope_of("smali") is scope_of("lib") is Scope.OTHER  # root files, not directories
 
 
 def test_class_label_values():

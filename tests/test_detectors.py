@@ -116,12 +116,40 @@ ORACLE_MANIFESTS = {
     "foreign-prefixed uses-permission": _manifest(
         '<f:uses-permission xmlns:f="urn:f" android:name="android.permission.A"/>'
         '<uses-permission android:name=""/><uses-permission/>'),
+    "local name ending in uses-permission": _manifest(
+        '<x-uses-permission android:name="android.permission.A"/>'
+        '<f:my-uses-permission xmlns:f="urn:uses-permission" android:name="android.permission.B"/>'),
 }
+
+# Attribute names are namespace-expanded: the prefix is whatever binds the android URI.
+NAMESPACE_MANIFESTS = {
+    "alias prefix": (
+        '<manifest xmlns:a="http://schemas.android.com/apk/res/android">'
+        '<uses-permission a:name="android.permission.A"/></manifest>',
+        {"android.permission.A"}, False),
+    "unbound android prefix": (
+        '<manifest><uses-permission android:name="android.permission.A"/></manifest>',
+        {"android.permission.A"}, True),
+    "android prefix bound to another URI": (
+        '<manifest xmlns:android="urn:other">'
+        '<uses-permission android:name="android.permission.A"/></manifest>',
+        set(), False),
+}
+ORACLE_MANIFESTS.update((name, text) for name, (text, _, _) in NAMESPACE_MANIFESTS.items())
 
 
 @pytest.mark.parametrize("text", ORACLE_MANIFESTS.values(), ids=ORACLE_MANIFESTS.keys())
 def test_declared_permissions_matches_elementtree(text):
     assert declared_permissions(text) == declared_names(text)
+
+
+@pytest.mark.parametrize("text, names, malformed", NAMESPACE_MANIFESTS.values(),
+                         ids=NAMESPACE_MANIFESTS.keys())
+def test_declared_permissions_namespace_rules(text, names, malformed):
+    declared, warnings = declared_permissions(text)
+    assert declared == names
+    assert warnings == ([f"malformed manifest XML (unbound prefix: line 1, column 10); "
+                         f"fell back to attribute scan"] if malformed else [])
 
 
 # --- code-property matching -------------------------------------------------------
@@ -489,6 +517,7 @@ def _per_row_csv(matrix):
     (("a,b", 'q"uote', "cr\r", "lf\n", " edge ", "\udcff", "plain"), 3),
     ((), 2),
     (("x", "y"), 1),
+    (('"', "\r\n", " lead", 'a,"b"\r\nc', "tab\tid", "\udc80\udcff,", ""), 131),
 ])
 def test_matrix_csv_matches_per_row_writer(tmp_path, ids, n_features):
     rng = np.random.default_rng(len(ids))
@@ -513,6 +542,18 @@ def test_manifest_over_cap_skipped(tmp_path, cat):
     assert _bit(row, "chmod") == 1
     assert stats.files_scanned["manifest"] == 0
     assert stats.warnings == ["a: manifest exceeds 64 byte cap; permission features zeroed"]
+
+
+def test_root_file_named_like_a_scope_is_skipped(tmp_path, cat):
+    # Only a real directory at the root holds a scope's files.
+    d = write_sample(tmp_path, "a", manifest=manifest_with())
+    (d / "smali").write_text("chmod\n", encoding="utf-8")
+    (d / "assets").write_text("remount\n", encoding="utf-8")
+    row, stats = extract_features(load_corpus(tmp_path).samples[0], cat)
+    assert (_bit(row, "chmod"), _bit(row, "remount")) == (0, 0)
+    assert stats.files_scanned["code"] == stats.files_scanned["assets"] == 0
+    assert stats.warnings == ["a: skipped smali (not a directory)",
+                              "a: skipped assets (not a directory)"]
 
 
 def test_listing_order_does_not_matter(tmp_path, cat, monkeypatch):

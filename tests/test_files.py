@@ -12,6 +12,7 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,18 @@ def test_input_that_grows_past_the_cap_during_the_read_is_refused(tmp_path, monk
     monkeypatch.setattr(os, "fstat", stale)
     with pytest.raises(CorpusError, match=f"cannot read catalog {path}: exceeds 10 byte cap"):
         files.read_text(path, "catalog", CorpusError)
+
+
+def test_reading_a_small_input_allocates_by_its_size(tmp_path):
+    labels = write_labels(tmp_path, [(f"app{i}", "benign") for i in range(20)])
+    tracemalloc.start()
+    try:
+        rows = files.read_rows(labels, ("app_id", "label"), "labels file", CorpusError)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 20
+    assert peak < 1024 * 1024  # not the 64 MiB cap
 
 
 @pytest.mark.parametrize("reader", [False, True])

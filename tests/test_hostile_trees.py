@@ -2,11 +2,11 @@
 
 Trees mix nested and hidden directories, names that are not valid UTF-8,
 file and directory links inside and outside the sample, looping and
-dangling links, top-level directories that are links, FIFOs and files
-over the read cap. For every tree,
-extraction must not raise, must open and list only paths under the
-sample root that reach no link on the way (a link as the final
-component of an open is refused by O_NOFOLLOW), must give the same bits,
+dangling links, top-level directories that are links, top-level regular
+files named like scope directories, FIFOs and files over the read cap.
+For every tree, extraction must not raise, must open and list only
+paths under the sample root that reach no link on the way (a link as the
+final component of an open is refused by O_NOFOLLOW), must give the same bits,
 warnings and file counts whatever order directories list in, and must
 give the bits of the naive reference extractor (``reference.py``). A second
 property draws the catalog too, so that each scope's features differ.
@@ -84,7 +84,11 @@ payload_files = st.lists(
 )
 
 
-def _build(base: bytes, manifest: str, linked_tops, tree) -> bytes:
+# Regular files at the sample root named like scope directories: no scope's files.
+top_files = st.lists(st.tuples(st.sampled_from(TOPS[:4]), st.sampled_from(CONTENTS)), max_size=2)
+
+
+def _build(base: bytes, manifest: str, linked_tops, tree, top_files=()) -> bytes:
     outside = os.path.join(base, b"outside")
     os.makedirs(os.path.join(outside, b"dir"))
     with open(os.path.join(outside, b"secret.smali"), "wb") as fh:
@@ -109,6 +113,10 @@ def _build(base: bytes, manifest: str, linked_tops, tree) -> bytes:
     for top in linked_tops:
         if not os.path.lexists(os.path.join(app, top)):
             os.symlink(os.path.join(outside, b"dir"), os.path.join(app, top))
+    for top, content in top_files:
+        if not os.path.lexists(os.path.join(app, top)):
+            with open(os.path.join(app, top), "xb") as fh:
+                fh.write(content)
     for top, dirs, leaf, kind, content in tree:
         parent = os.path.join(app, top, *dirs)
         path = os.path.join(parent, leaf)
@@ -169,10 +177,10 @@ def _extract(sample, listing_order, catalog):
     return row, stats, opened, listed
 
 
-def _check(manifest, linked_tops, tree, catalog):
+def _check(manifest, linked_tops, tree, catalog, top_files=()):
     base = os.fsencode(tempfile.mkdtemp(prefix="apksift-hostile-"))
     try:
-        root = _build(base, manifest, linked_tops, tree)
+        root = _build(base, manifest, linked_tops, tree, top_files)
         sample = load_corpus(os.fsdecode(root)).samples[0]
         app = os.fsencode(sample.directory)
         forward = _extract(sample, lambda entries: entries, catalog)
@@ -193,9 +201,9 @@ def _check(manifest, linked_tops, tree, catalog):
 @settings(max_examples=50, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(manifest=st.sampled_from(MANIFESTS), linked_tops=st.lists(st.sampled_from(TOPS), max_size=2),
-       tree=nodes)
-def test_extraction_over_hostile_trees(manifest, linked_tops, tree):
-    _check(manifest, linked_tops, tree, CATALOG)
+       top_files=top_files, tree=nodes)
+def test_extraction_over_hostile_trees(manifest, linked_tops, top_files, tree):
+    _check(manifest, linked_tops, tree, CATALOG, top_files)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None,
