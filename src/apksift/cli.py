@@ -229,7 +229,7 @@ def _cmd_extract(args) -> int:
     if args.stats:
         detectors.write_stats_csv(stats, args.stats)
     print(f"extracted {len(matrix)} x {len(matrix.feature_names)} matrix -> {args.out} "
-          f"({stats.total_duration_ms:.1f} ms)")
+          f"({stats.wall_ms:.1f} ms)")
     return 0
 
 

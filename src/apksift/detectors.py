@@ -34,11 +34,27 @@ searches one of its scopes is unset, and takes a scope's features once
 per run of same-scope files. Files are read only through
 ``AppSample.read``: each link, special file or file over
 ``max_file_bytes`` (the manifest too) is skipped with a warning.
+
+``extract_corpus`` splits a corpus by stride over one process per usable
+CPU (``os.sched_getaffinity``), each taking at least ``MIN_SHARE``
+samples: the calling process extracts samples 0, n, 2n, ... itself and
+forked children the other strides, each sending its rows and stats back
+over a pipe. The results are put back in corpus order, so every output
+is the same whatever the count. A catalog that walks no files (only
+permissions: a manifest parse costs less than its transfer), a platform
+without ``os.fork`` or ``os.sched_getaffinity``, or a process pinned to
+one CPU extracts in-process. A child that fails or sends a bad result
+has its share extracted again in the caller, and no child outlives the
+call.
 """
 
 from __future__ import annotations
 
+import contextlib
+import marshal
+import os
 import re
+import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,6 +83,9 @@ _MANIFEST = Scope.MANIFEST.value
 _LABEL_TEXT = {None: "", **{label: label.value for label in ClassLabel}}
 _BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
+#: The fewest samples a worker process is started for.
+MIN_SHARE = 64
+
 
 @dataclass
 class SampleStats:
@@ -85,6 +104,7 @@ class ExtractionStats:
     """Aggregate timing and warning record for a corpus extraction."""
 
     per_sample: list[SampleStats]
+    wall_ms: float = 0.0  # elapsed time of the whole extraction
 
     @property
     def total_duration_ms(self) -> float:
@@ -237,11 +257,13 @@ def extract_corpus(
     catalog: FeatureCatalog,
     max_file_bytes: int = DEFAULT_MAX_FILE_BYTES,
 ) -> tuple[FeatureMatrix, ExtractionStats]:
-    """Extract every sample, in corpus order."""
+    """Extract every sample, in corpus order, on up to one process per usable CPU."""
     if len(catalog) == 0:
         raise CorpusError("cannot extract with an empty catalog")
 
-    results = [extract_features(s, catalog, max_file_bytes) for s in corpus.samples]
+    start = time.perf_counter()
+    results = _map_samples(corpus.samples, catalog, max_file_bytes)
+    wall_ms = (time.perf_counter() - start) * 1000.0
     rows = b"".join(row for row, _ in results)
     matrix = FeatureMatrix(
         ids=tuple(s.id for s in corpus.samples),
@@ -250,7 +272,105 @@ def extract_corpus(
         bits=np.frombuffer(rows, np.uint8).reshape(len(results), len(catalog)),
         mode=catalog.mode,
     )
-    return matrix, ExtractionStats(per_sample=[st for _, st in results])
+    return matrix, ExtractionStats(per_sample=[st for _, st in results], wall_ms=wall_ms)
+
+
+def _worker_count(n_samples: int, catalog: FeatureCatalog) -> int:
+    """Processes to extract with: one per usable CPU, each with ``MIN_SHARE``
+    samples or more; one if the catalog walks no files or the platform cannot fork."""
+    if not any(catalog.plan.watched) or not (hasattr(os, "fork")
+                                             and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_samples // MIN_SHARE))
+
+
+def _map_samples(samples, catalog: FeatureCatalog, max_file_bytes: int) -> list:
+    """``extract_features`` of each sample, in order: worker ``w`` of ``n`` takes
+    ``samples[w::n]``, this process is worker 0 and forks the others."""
+    n = _worker_count(len(samples), catalog)
+    results = [None] * len(samples)
+    children = {}  # worker -> (pid, read end of its pipe), until reaped
+    try:
+        for w in range(1, n):
+            if (child := _fork_share(samples[w::n], catalog, max_file_bytes)) is not None:
+                children[w] = child
+        results[0::n] = _extract_share(samples[0::n], catalog, max_file_bytes)
+        for w in range(1, n):
+            share, got = samples[w::n], None
+            if w in children:
+                pid, fd = children[w]
+                blob = _read_to_eof(fd)
+                _, status = os.waitpid(pid, 0)
+                del children[w]
+                os.close(fd)
+                if status == 0:
+                    got = _decode_share(blob, share, len(catalog))
+            results[w::n] = got if got is not None else _extract_share(share, catalog,
+                                                                        max_file_bytes)
+    finally:
+        for pid, fd in children.values():
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(OSError):
+                os.waitpid(pid, 0)
+            os.close(fd)
+    return results
+
+
+def _extract_share(samples, catalog: FeatureCatalog, max_file_bytes: int) -> list:
+    # extract_features is read per call: per-sample timing wraps it by name.
+    return [extract_features(s, catalog, max_file_bytes) for s in samples]
+
+
+def _fork_share(samples, catalog: FeatureCatalog, max_file_bytes: int):
+    """(pid, read end) of a child that writes the encoded share to a pipe and
+    exits 0, or exits non-zero; None if no child could be started."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:  # the child never returns
+        status = 1
+        try:
+            os.close(r)
+            blob = memoryview(_encode_share(_extract_share(samples, catalog, max_file_bytes)))
+            while blob:
+                blob = blob[os.write(w, blob):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, r
+
+
+def _read_to_eof(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _encode_share(results) -> bytes:
+    """Plain values, not dataclasses: the rows joined, then each sample's
+    duration, file counts and warnings."""
+    return marshal.dumps((b"".join(row for row, _ in results),
+                          [(st.duration_ms, st.files_scanned, st.warnings) for _, st in results]))
+
+
+def _decode_share(blob: bytes, samples, row_len: int) -> list | None:
+    """The (row, stats) of each of ``samples`` from a child's blob; None if the
+    blob is short, undecodable or of another share's shape."""
+    try:
+        rows, stats = marshal.loads(blob)
+        if len(rows) != len(samples) * row_len or len(stats) != len(samples):
+            return None
+        return [(rows[i * row_len:(i + 1) * row_len], SampleStats(s.id, *st))
+                for i, (s, st) in enumerate(zip(samples, stats))]
+    except (EOFError, ValueError, TypeError):
+        return None
 
 
 def write_matrix_csv(matrix: FeatureMatrix, path: Path | str) -> None:

@@ -1,16 +1,18 @@
 """The file boundary: every file apksift reads or writes, sample trees aside.
 
 Files are UTF-8; a leading BOM is dropped on input. CSV is what ``csv`` writes
-with LF line ends, read back by ``csv`` over the raw line ends. CSV keeps
-undecodable bytes as surrogate escapes (ids compare as written); JSON decodes
-strictly. An input must be a regular file of at most ``MAX_INPUT_BYTES``; an
-output must be a regular file or absent. A file that cannot be read, decoded
-or written raises the caller's ``ApkSiftError`` subclass, naming the file.
+with LF line ends and every cell holding a CR or an LF quoted, read back by
+``csv`` over the raw line ends. CSV keeps undecodable bytes as surrogate
+escapes (ids compare as written); JSON decodes strictly. An input must be a
+regular file of at most ``MAX_INPUT_BYTES``; an output must be a regular file
+or absent. A file that cannot be read, decoded or written raises the caller's
+``ApkSiftError`` subclass, naming the file.
 """
 
 import csv
 import errno
 import io
+import itertools
 import os
 import stat
 from types import SimpleNamespace
@@ -83,13 +85,15 @@ def write_csv(path, header: list, rows, error: type, tails=None) -> None:
     row's last cell and its line end: further cells that need no quoting,
     each led by its comma.
     """
+    # A CRLF terminator makes csv quote every cell holding a CR or an LF. Each
+    # row is one write call, whose CRLF becomes an LF.
     lines = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(header)
+    writer.writerows(rows)
     if tails is None:
-        writer.writerows(rows)
+        text = "\n".join(line[:-2] for line in lines) + "\n"
     else:
-        for row, tail in zip(rows, tails):
-            writer.writerow(row)  # one write call, one line
-            lines[-1] = lines[-1][:-1] + tail + "\n"
-    write_text(path, "".join(lines), error)
+        tails = itertools.chain([""], tails)
+        text = "".join(f"{line[:-2]}{tail}\n" for line, tail in zip(lines, tails))
+    write_text(path, text, error)

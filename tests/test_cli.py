@@ -468,6 +468,33 @@ def test_extract_and_classify_non_utf8_names(tmp_path, small_corpus):
     assert [(r[0], r[3]) for r in rows[1:]] == [(b"ok", b"suspicious"), (b"\xff", b"suspicious")]
 
 
+def _csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_carriage_return_in_an_id_round_trips(tmp_path, small_corpus):
+    # A bare CR in a cell is quoted, so csv reads every row back as written.
+    root, labels = small_corpus
+    model = tmp_path / "model.json"
+    assert main(["train", "--corpus", str(root), "--labels", str(labels),
+                 "--top", "1", "--out", str(model)]) == 0
+    hostile = tmp_path / "hostile"
+    write_sample(hostile, "cr\rx", code={"A.smali": '    const-string v0, "chmod"\n'})
+    write_sample(hostile, "ok")
+    matrix, stats, preds = tmp_path / "matrix.csv", tmp_path / "stats.csv", tmp_path / "preds.csv"
+    assert main(["extract", "--corpus", str(hostile), "--out", str(matrix),
+                 "--stats", str(stats)]) == 0
+    rows = _csv_rows(matrix)
+    chmod = rows[0].index("chmod")
+    assert [(r[0], r[chmod]) for r in rows[1:]] == [("cr\rx", "1"), ("ok", "0")]
+    assert [r[0] for r in _csv_rows(stats)[1:]] == ["cr\rx", "ok"]
+    assert main(["classify", "--corpus", str(hostile), "--model", str(model),
+                 "--out", str(preds)]) == 0
+    assert [(r[0], r[3]) for r in _csv_rows(preds)[1:]] == [("cr\rx", "suspicious"),
+                                                            ("ok", "benign")]
+
+
 def test_evaluate_labels_non_utf8_names(tmp_path):
     # Label rows are read with the same surrogate escapes as directory
     # names, so a sample whose name is not UTF-8 can be labeled.

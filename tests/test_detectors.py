@@ -434,8 +434,9 @@ def test_warnings_do_not_depend_on_corpus_root(tmp_path, cat, monkeypatch):
 def test_extract_corpus_calls_extract_features_per_sample(tmp_path, cat, monkeypatch):
     # Per-sample timing wraps detectors.extract_features from outside, so
     # extract_corpus must call it through the module attribute, once per
-    # sample, and return its bits as a numpy array.
-    for i in range(3):
+    # sample, and return its bits as a numpy array. With two workers the
+    # calling process extracts samples 0, 2, 4, ... itself, so timing sees them.
+    for i in range(7):
         write_sample(tmp_path, f"s{i}", manifest=manifest_with("READ_SMS"))
     calls = []
     real = detectors.extract_features
@@ -446,9 +447,16 @@ def test_extract_corpus_calls_extract_features_per_sample(tmp_path, cat, monkeyp
 
     monkeypatch.setattr(detectors, "extract_features", counting)
     matrix, _ = extract_corpus(load_corpus(tmp_path), cat)
-    assert calls == ["s0", "s1", "s2"]
+    assert calls == [f"s{i}" for i in range(7)]
     assert isinstance(matrix.bits, np.ndarray) and matrix.bits.dtype == np.uint8
-    assert int(matrix.bits.sum()) == 3
+    assert int(matrix.bits.sum()) == 7
+
+    calls.clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(detectors, "MIN_SHARE", 1)
+    forked, _ = extract_corpus(load_corpus(tmp_path), cat)
+    assert calls == ["s0", "s2", "s4", "s6"]
+    assert forked.bits.tobytes() == matrix.bits.tobytes()
 
 
 @pytest.mark.parametrize("which, stages", [
@@ -504,13 +512,17 @@ def test_matrix_csv_roundtrip(tmp_path, cat):
 
 
 def _per_row_csv(matrix):
-    """The matrix file as one ``csv.writer`` row per sample, ints as ints."""
-    out = io.StringIO(newline="")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["app_id", "label", *matrix.feature_names])
+    """The matrix file as one ``csv.writer`` row per sample, ints as ints: every
+    cell holding a CR or an LF quoted (what a CRLF terminator quotes), LF line ends."""
+    lines = [["app_id", "label", *matrix.feature_names]]
     for app_id, label, row in zip(matrix.ids, matrix.labels, matrix.bits.tolist()):
-        writer.writerow([app_id, label.value if label is not None else "", *row])
-    return out.getvalue().encode("utf-8", "surrogateescape")
+        lines.append([app_id, label.value if label is not None else "", *row])
+    text = ""
+    for line in lines:
+        out = io.StringIO(newline="")
+        csv.writer(out, lineterminator="\r\n").writerow(line)
+        text += out.getvalue().removesuffix("\r\n") + "\n"
+    return text.encode("utf-8", "surrogateescape")
 
 
 @pytest.mark.parametrize("ids, n_features", [
@@ -531,6 +543,9 @@ def test_matrix_csv_matches_per_row_writer(tmp_path, ids, n_features):
     out = tmp_path / "matrix.csv"
     write_matrix_csv(matrix, out)
     assert out.read_bytes() == _per_row_csv(matrix)
+    with open(out, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        read_back = list(csv.reader(fh))
+    assert [row[0] for row in read_back[1:]] == list(ids)  # a CR in an id splits no row
 
 
 # --- hostile trees ---------------------------------------------------------------

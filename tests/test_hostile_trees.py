@@ -7,11 +7,13 @@ files named like scope directories, FIFOs and files over the read cap.
 For every tree, extraction must not raise, must open and list only
 paths under the sample root that reach no link on the way (a link as the
 final component of an open is refused by O_NOFOLLOW), must give the same bits,
-warnings and file counts whatever order directories list in, and must
-give the bits of the naive reference extractor (``reference.py``). A second
+warnings and file counts whatever order directories list in and from a
+forked worker process, and must give the bits of the naive reference
+extractor (``reference.py``). A second
 property draws the catalog too, so that each scope's features differ.
 """
 
+import dataclasses
 import json
 import os
 import shutil
@@ -21,9 +23,10 @@ from unittest import mock
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from apksift import detectors
 from apksift.catalog import builtin_catalog, parse_catalog
 from apksift.corpus import load_corpus
-from apksift.detectors import extract_features
+from apksift.detectors import extract_corpus, extract_features
 
 from conftest import Listing, manifest_with
 from reference import reference_bits
@@ -181,7 +184,8 @@ def _check(manifest, linked_tops, tree, catalog, top_files=()):
     base = os.fsencode(tempfile.mkdtemp(prefix="apksift-hostile-"))
     try:
         root = _build(base, manifest, linked_tops, tree, top_files)
-        sample = load_corpus(os.fsdecode(root)).samples[0]
+        corpus = load_corpus(os.fsdecode(root))
+        sample = corpus.samples[0]
         app = os.fsencode(sample.directory)
         forward = _extract(sample, lambda entries: entries, catalog)
         backward = _extract(sample, lambda entries: entries[::-1], catalog)
@@ -194,6 +198,16 @@ def _check(manifest, linked_tops, tree, catalog, top_files=()):
         assert forward[1].warnings == backward[1].warnings
         assert forward[1].files_scanned == backward[1].files_scanned
         assert list(forward[0]) == reference_bits(str(sample.directory), catalog, CAP)
+        # Two workers, each extracting the sample once: the forked child's
+        # bits, warnings and counts come back as the calling process's.
+        doubled = dataclasses.replace(corpus, samples=corpus.samples * 2)
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}), \
+                mock.patch.object(detectors, "MIN_SHARE", 1):
+            assert detectors._worker_count(2, catalog) == 2
+            matrix, stats = extract_corpus(doubled, catalog, max_file_bytes=CAP)
+        assert matrix.bits.tobytes() == forward[0] * 2
+        assert [s.warnings for s in stats.per_sample] == [forward[1].warnings] * 2
+        assert [s.files_scanned for s in stats.per_sample] == [forward[1].files_scanned] * 2
     finally:
         shutil.rmtree(base)
 
