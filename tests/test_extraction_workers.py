@@ -120,10 +120,11 @@ def test_worker_count_never_changes_output(tmp_path, corpus, monkeypatch):
 
 
 def test_worker_count_rule(monkeypatch):
+    share = detectors.MIN_SHARE
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    assert detectors._worker_count(64 * 3 + 63, CATALOG_M) == 3
-    assert detectors._worker_count(64 * 9, CATALOG_M) == 4     # never above the usable CPUs
-    assert detectors._worker_count(127, CATALOG_M) == 1
+    assert detectors._worker_count(share * 3 + share - 1, CATALOG_M) == 3
+    assert detectors._worker_count(share * 9, CATALOG_M) == 4     # never above the usable CPUs
+    assert detectors._worker_count(share * 2 - 1, CATALOG_M) == 1
     assert detectors._worker_count(0, CATALOG_M) == 1
     assert detectors._worker_count(10_000, load_catalog("builtin", "P")) == 1   # walks no file
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})   # pinned to one CPU
