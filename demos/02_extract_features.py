@@ -46,16 +46,16 @@ print(f"extraction: {stats.total_duration_ms:.1f} ms total, "
       f"{len(stats.warnings)} warnings")
 
 # A sample's row is one 0/1 byte per catalog feature, in catalog order;
-# extract_corpus stacks the rows into the matrix.
+# extract_corpus keeps the rows, in corpus order, in the matrix.
 row, sample_stats = extract_features(corpus.samples[-1], catalog)
-assert row == matrix.bits[-1].tobytes()
+assert row == matrix.rows[-1]
 set_names = [name for name, bit in zip(catalog.names, row) if bit]
 print(f"{sample_stats.sample_id}: {len(row)}-byte row, set: {', '.join(set_names) or 'none'}")
 
 # Column sums recover the planted frequencies exactly.
 for name in ("READ_SMS", "chmod", ".apk", "Runtime.exec"):
-    col = matrix.bits[:, matrix.feature_names.index(name)]
-    print(f"  {name:14s} set in {int(col.sum())} of {len(matrix)} samples")
+    j = matrix.feature_names.index(name)
+    print(f"  {name:14s} set in {sum(r[j] for r in matrix.rows)} of {len(matrix)} samples")
 
 write_matrix_csv(matrix, out / "matrix.csv")
 print(f"\nwrote {out / 'matrix.csv'} (header: app_id,label,<feature names...>)")

@@ -56,5 +56,5 @@ for row in (0, 1, 1000, 1001):
 model_path = out / "model.json"
 save_model(model, model_path)
 reloaded = load_model(model_path)
-assert (posterior_matrix(reloaded, matrix) == posterior_matrix(model, matrix)).all()
+assert posterior_matrix(reloaded, matrix) == posterior_matrix(model, matrix)
 print(f"\nmodel file {model_path} round-trips exactly")

@@ -5,10 +5,11 @@ from the class sizes and, for every selected feature, the probability of
 seeing the bit set in each class with additive smoothing:
 theta = (positives + alpha) / (class size + 2*alpha). Scoring follows one
 written rule over a whole matrix (``_scores``): log joints (the likelihood
-product underflows otherwise) summed left to right with libm's log and
-exp, so no posterior bit depends on the CPU. A sample is called
-suspicious when its posterior reaches the decision threshold; exact ties
-go to suspicious, the costlier class to miss.
+product underflows otherwise) summed left to right in Python floats with
+libm's log and exp, so no posterior bit depends on the CPU or on a vector
+library; rows with the same selected bits are scored once. A sample is
+called suspicious when its posterior reaches the decision threshold;
+exact ties go to suspicious, the costlier class to miss.
 
 Models persist as JSON holding only integer counts plus the smoothing
 value, so a save/load round trip reproduces posteriors bit-for-bit.
@@ -18,14 +19,14 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
+from operator import getitem, itemgetter
 from pathlib import Path
-
-import numpy as np
 
 from . import files
 from .catalog import MODES
-from .corpus import ClassLabel
+from .corpus import BENIGN, SUSPICIOUS, ClassLabel
 from .detectors import FeatureMatrix
 from .errors import ModelError
 from .ranking import ContingencyTable
@@ -119,8 +120,12 @@ def feature_columns(model_names: tuple[str, ...], names: tuple[str, ...]) -> lis
     return [names.index(n) for n in model_names]
 
 
-def _scores(model: TrainedModel, matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(posteriors, scores) of every row of a matrix, by this rule:
+_LN2 = math.log(2)
+
+
+def _scores(model: TrainedModel, matrix: FeatureMatrix, with_score: bool) -> list:
+    """The posterior, or (posterior, score) if ``with_score``, of every row of
+    a matrix, by this rule:
 
     A class's log joint starts with log(prior) and adds, for each model
     feature in model order, log(theta) if the bit is set or log(1 - theta)
@@ -129,27 +134,34 @@ def _scores(model: TrainedModel, matrix: FeatureMatrix) -> tuple[np.ndarray, np.
     posterior P(suspicious) is 1/(1+e) if d >= 0, else e/(1+e), and the
     score (log2 odds, still graded where the posterior rounds to 0 or 1)
     is d / ln 2. A row that both classes rule out gets 0.5 and 0. log and
-    exp are libm's; each joint is a running sum, one feature's term at a time.
+    exp are libm's; each joint is a running sum of Python floats (IEEE
+    doubles), one feature's term at a time. Rows with the same model-feature
+    bits are scored once.
     """
     cols = feature_columns(model.feature_names, matrix.feature_names)
-    thetas = [model.theta(label) for label in (ClassLabel.BENIGN, ClassLabel.SUSPICIOUS)]
-    # (feature, class, 1): per feature, a column of its two class terms to broadcast over rows
-    log_on = np.array([list(map(_log, theta)) for theta in thetas]).T[:, :, None]
-    log_off = np.array([[_log(1.0 - t) for t in theta] for theta in thetas]).T[:, :, None]
-    joints = np.repeat([[_log(p)] for p in model.priors], len(matrix), axis=1)  # (class, row)
-    for feature_bits, on, off in zip(matrix.bits[:, cols].T, log_on, log_off):
-        joints += np.where(feature_bits, on, off)
-    with np.errstate(invalid="ignore"):
-        d = joints[1] - joints[0]  # NaN where both classes are ruled out
-    e = np.fromiter(map(math.exp, (-np.abs(d)).tolist()), np.float64, len(d))
-    ruled_out = np.isnan(d)
-    posteriors = np.where(ruled_out, 0.5, np.where(d >= 0, 1.0, e) / (1.0 + e))
-    return posteriors, np.where(ruled_out, 0.0, d / math.log(2))
+    thetas = zip(model.theta(ClassLabel.BENIGN), model.theta(ClassLabel.SUSPICIOUS))
+    # per feature, indexed by its bit: the (benign, suspicious) pair of terms
+    terms = [((_log(1.0 - ben), _log(1.0 - sus)), (_log(ben), _log(sus))) for ben, sus in thetas]
+    prior_ben, prior_sus = map(_log, model.priors)
+    # itemgetter of one index returns the item, not a 1-tuple, and of none raises
+    key = itemgetter(*cols) if len(cols) > 1 else lambda row: tuple(row[c] for c in cols)
+    keys = list(map(key, matrix.rows))
+    memo = dict.fromkeys(keys)
+    for bits in memo:
+        ben, sus = prior_ben, prior_sus
+        for b, s in map(getitem, terms, bits):
+            ben += b
+            sus += s
+        d = sus - ben  # NaN where both classes rule the row out
+        e = math.exp(-abs(d))
+        p = 0.5 if d != d else (1.0 if d >= 0 else e) / (1.0 + e)
+        memo[bits] = (p, 0.0 if d != d else d / _LN2) if with_score else p
+    return list(map(memo.__getitem__, keys))
 
 
-def posterior_matrix(model: TrainedModel, matrix: FeatureMatrix) -> np.ndarray:
-    """P(suspicious | row) for every row of a matrix."""
-    return _scores(model, matrix)[0]
+def posterior_matrix(model: TrainedModel, matrix: FeatureMatrix) -> array:
+    """P(suspicious | row) for every row of a matrix, as an array of doubles."""
+    return array("d", _scores(model, matrix, with_score=False))
 
 
 def classify(
@@ -157,10 +169,9 @@ def classify(
 ) -> list[Prediction]:
     """Predictions for every row: suspicious iff the posterior reaches
     ``threshold`` (ties suspicious), with the rule's log2-odds score."""
-    posteriors, scores = _scores(model, matrix)
     return [
-        Prediction(sample_id, p, ClassLabel.SUSPICIOUS if p >= threshold else ClassLabel.BENIGN, s)
-        for sample_id, p, s in zip(matrix.ids, posteriors.tolist(), scores.tolist())
+        Prediction(sample_id, p, SUSPICIOUS if p >= threshold else BENIGN, s)
+        for sample_id, (p, s) in zip(matrix.ids, _scores(model, matrix, with_score=True))
     ]
 
 

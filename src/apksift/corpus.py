@@ -4,6 +4,7 @@ On-disk contract (one directory per app under the corpus root):
 
     <root>/<app-id>/AndroidManifest.xml   decoded UTF-8 XML
     <root>/<app-id>/smali/**/*.smali      disassembled code, one class per file
+    <root>/<app-id>/smali_classes<N>/**   code of dex file N (N = 2, 3, ...)
     <root>/<app-id>/assets/**             bundled asset payloads
     <root>/<app-id>/res/**                resources
     <root>/<app-id>/lib/**                native libraries
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import os
+import re
 import stat
 from dataclasses import dataclass, field
 from operator import methodcaller
@@ -50,6 +52,11 @@ class ClassLabel(enum.Enum):
 
 _LABELS = {label.value: label for label in ClassLabel}
 
+#: The labels as module globals, for code that tests them row by row: on
+#: Python 3.11 each ``ClassLabel.X`` costs an enum class-attribute lookup,
+#: several times a global's.
+BENIGN, SUSPICIOUS = ClassLabel.BENIGN, ClassLabel.SUSPICIOUS
+
 
 class Scope(enum.Enum):
     """Where a member file lives inside a sample tree."""
@@ -62,9 +69,19 @@ class Scope(enum.Enum):
     OTHER = "other"
 
 
-#: The one map from a sample's top-level directory to the scope of its files.
+#: The map from a sample's top-level directory to the scope of its files;
+#: ``top_scope`` adds the multidex code directories.
 TOP_SCOPES = {"smali": Scope.CODE, "assets": Scope.ASSETS, "res": Scope.RESOURCES,
               "lib": Scope.NATIVE_LIB}
+
+# dex files 2, 3, ... of a multidex app: N >= 2, decimal, no leading zero
+_MULTIDEX = re.compile(r"smali_classes(?:[2-9]|[1-9][0-9]+)")
+
+
+def top_scope(name: str) -> Scope | None:
+    """The scope of a top-level directory name, None if it holds no scope's files."""
+    return TOP_SCOPES.get(name) or (Scope.CODE if _MULTIDEX.fullmatch(name) else None)
+
 
 #: Scopes holding secondary payload material (everything but manifest/code).
 PAYLOAD_SCOPES = tuple(s for s in TOP_SCOPES.values() if s is not Scope.CODE)
@@ -76,7 +93,7 @@ def scope_of(relative_path: str) -> Scope:
     if relative_path == MANIFEST_NAME:
         return Scope.MANIFEST
     top, sep, _ = relative_path.partition("/")
-    return TOP_SCOPES.get(top, Scope.OTHER) if sep else Scope.OTHER
+    return (top_scope(top) or Scope.OTHER) if sep else Scope.OTHER
 
 
 #: Sort key of sample ids and member paths: the raw bytes of the name.
@@ -122,14 +139,14 @@ class AppSample:
             directory, prefix, scope = stack.pop()
             try:
                 with os.scandir(directory) as it:
-                    entries = [e for e in it if prefix or TOP_SCOPES.get(e.name) in scopes]
+                    entries = [e for e in it if prefix or top_scope(e.name) in scopes]
             except OSError as exc:
                 skipped.append((prefix.rstrip("/") or ".", f"cannot list: {exc.strerror or exc}"))
                 continue
             for entry in entries:
                 rel = prefix + entry.name
                 if entry.is_dir(follow_symlinks=False):
-                    stack.append((entry.path, rel + "/", scope or TOP_SCOPES[entry.name]))
+                    stack.append((entry.path, rel + "/", scope or top_scope(entry.name)))
                 elif prefix and entry.is_file(follow_symlinks=False):
                     found.append((rel, scope))
                 elif entry.is_symlink():

@@ -2,7 +2,8 @@
 
 Matching contracts, per feature kind:
 
-* permission        - exact match of a ``<uses-permission>`` element's
+* permission        - exact match of a ``<uses-permission>`` or
+                      ``<uses-permission-sdk-23>`` element's
                       ``android:name`` attribute against
                       ``android.permission.<NAME>`` in the manifest,
                       scanned by expat without a tree. Malformed XML falls
@@ -52,6 +53,7 @@ outlives the call.
 from __future__ import annotations
 
 import contextlib
+import functools
 import marshal
 import os
 import re
@@ -60,8 +62,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from xml.parsers import expat
-
-import numpy as np
 
 from . import files
 from .catalog import FeatureCatalog, FeatureDef
@@ -78,6 +78,8 @@ from .corpus import (
 from .errors import CorpusError, ManifestMissing
 
 _NAME_KEY = "http://schemas.android.com/apk/res/android}name"
+_PERMISSION_TAGS = ("uses-permission", "uses-permission-sdk-23")
+_NS_PERMISSION_TAGS = tuple("}" + tag for tag in _PERMISSION_TAGS)
 _NAME_ATTR_RE = re.compile(r'android:name\s*=\s*"([^"]*)"')
 _NO_FILES = dict.fromkeys((s.value for s in Scope), 0)
 _MANIFEST = Scope.MANIFEST.value
@@ -123,20 +125,32 @@ class ExtractionStats:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Per-sample rows stacked in corpus order, with labels attached."""
+    """Per-sample rows (one 0/1 byte per feature) in corpus order, with labels attached."""
 
     ids: tuple[str, ...]
     labels: tuple[ClassLabel | None, ...]
     feature_names: tuple[str, ...]
-    bits: np.ndarray  # shape (n_samples, n_features), dtype uint8
+    rows: tuple[bytes, ...]
     mode: str | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
 
+    @functools.cached_property
+    def row_ints(self) -> list[int]:
+        """Each row read as one integer, its first feature the high byte; computed once."""
+        return [int.from_bytes(row, "big") for row in self.rows]
+
+    @property
+    def bits(self):
+        """The rows as a read-only uint8 numpy array, built on each access (needs numpy)."""
+        import numpy as np
+        bits = np.frombuffer(b"".join(self.rows), np.uint8)
+        return bits.reshape(len(self), len(self.feature_names))
+
 
 def declared_permissions(manifest_text: str) -> tuple[set[str], list[str]]:
-    """Attribute values of all uses-permission elements, plus warnings.
+    """Names of all uses-permission and uses-permission-sdk-23 elements, plus warnings.
 
     Well-formed XML is parsed properly (comments don't count); malformed
     documents degrade to a regex scan over android:name attributes. As in
@@ -148,7 +162,7 @@ def declared_permissions(manifest_text: str) -> tuple[set[str], list[str]]:
     names = set()
 
     def start(tag, attrs):
-        if tag == "uses-permission" or tag.endswith("}uses-permission"):  # "uri}local"
+        if tag in _PERMISSION_TAGS or tag.endswith(_NS_PERMISSION_TAGS):  # "uri}local"
             name = attrs.get(_NAME_KEY)
             if name:
                 names.add(name)
@@ -270,12 +284,11 @@ def extract_corpus(
     start = time.perf_counter()
     results = _map_samples(corpus.samples, catalog, max_file_bytes)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    rows = b"".join(row for row, _ in results)
     matrix = FeatureMatrix(
         ids=tuple(s.id for s in corpus.samples),
         labels=tuple(s.label for s in corpus.samples),
         feature_names=catalog.names,
-        bits=np.frombuffer(rows, np.uint8).reshape(len(results), len(catalog)),
+        rows=tuple(row for row, _ in results),
         mode=catalog.mode,
     )
     return matrix, ExtractionStats(per_sample=[st for _, st in results], wall_ms=wall_ms)
@@ -388,14 +401,14 @@ def write_matrix_csv(matrix: FeatureMatrix, path: Path | str) -> None:
     """Matrix file: header ``app_id,label,<feature names>``, 0/1 cells, LF endings."""
     heads = zip(matrix.ids, map(_LABEL_TEXT.__getitem__, matrix.labels))
     files.write_csv(path, ["app_id", "label", *matrix.feature_names], heads, CorpusError,
-                    _cell_runs(matrix.bits))
+                    _cell_runs(matrix.rows, len(matrix.feature_names)))
 
 
-def _cell_runs(bits: np.ndarray):
+def _cell_runs(rows, width: int):
     """Text of each row's 0/1 cells, each cell led by its comma (cells must be 0/1)."""
-    run = bytearray(b",0" * bits.shape[1])
-    for row in bits:
-        run[1::2] = row.tobytes()
+    run = bytearray(b",0" * width)
+    for row in rows:
+        run[1::2] = row
         yield run.translate(_BIT_TEXT).decode("ascii")
 
 

@@ -29,14 +29,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import files
 from .classifier import TrainedModel, posterior_matrix, train
-from .corpus import PATH_KEY, ClassLabel
+from .corpus import BENIGN, PATH_KEY, SUSPICIOUS, ClassLabel
 from .detectors import FeatureMatrix
 from .errors import EvaluationError
-from .ranking import ContingencyTable, FeatureSelection, build_contingency, rank_features, select_top
+from .ranking import (ContingencyTable, FeatureSelection, build_contingency, class_counts,
+                      rank_features, select_top)
 from .rng import SplitMix64
 
 REPORT_SCHEMA_VERSION = 1
@@ -116,13 +115,13 @@ def confusion(truths: list[ClassLabel], decisions: list[ClassLabel]) -> Confusio
     """Cross-tabulate decisions against the ground-truth labels in the same order."""
     n_bb = n_bs = n_sb = n_ss = 0
     for truth, decided in zip(truths, decisions):
-        if truth is ClassLabel.BENIGN:
-            if decided is ClassLabel.BENIGN:
+        if truth is BENIGN:
+            if decided is BENIGN:
                 n_bb += 1
             else:
                 n_bs += 1
         else:
-            if decided is ClassLabel.BENIGN:
+            if decided is BENIGN:
                 n_sb += 1
             else:
                 n_ss += 1
@@ -164,7 +163,7 @@ def stratified_kfold(
     if unlabeled := [app_id for app_id in ids if labels.get(app_id) is None]:
         raise EvaluationError(f"sample {unlabeled[0]!r} has no label; cannot stratify")
     folds: list[list[str]] = [[] for _ in range(k)]
-    for class_index, label in enumerate((ClassLabel.BENIGN, ClassLabel.SUSPICIOUS)):
+    for class_index, label in enumerate((BENIGN, SUSPICIOUS)):
         members = sorted((app_id for app_id in ids if labels[app_id] is label), key=PATH_KEY)
         if len(members) < k:
             raise EvaluationError(
@@ -180,7 +179,7 @@ def roc(scores: list[float], labels: list[ClassLabel]) -> RocCurve:
     """ROC points over the distinct-score threshold sweep, plus trapezoid AUC."""
     if len(scores) != len(labels):
         raise EvaluationError("scores and labels must align")
-    n_sus = sum(1 for lab in labels if lab is ClassLabel.SUSPICIOUS)
+    n_sus = sum(1 for lab in labels if lab is SUSPICIOUS)
     n_ben = len(labels) - n_sus
     if n_sus == 0 or n_ben == 0:
         raise EvaluationError("ROC needs at least one sample of each class")
@@ -192,7 +191,7 @@ def roc(scores: list[float], labels: list[ClassLabel]) -> RocCurve:
     while i < len(order):
         value = scores[order[i]]
         while i < len(order) and scores[order[i]] == value:
-            if labels[order[i]] is ClassLabel.SUSPICIOUS:
+            if labels[order[i]] is SUSPICIOUS:
                 tp += 1
             else:
                 fp += 1
@@ -225,10 +224,10 @@ def _mean_metrics(per_fold: list[MetricSet]) -> tuple[MetricSet, int]:
 
 def _rows(matrix: FeatureMatrix, rows: list[int]) -> FeatureMatrix:
     return FeatureMatrix(
-        ids=tuple(matrix.ids[r] for r in rows),
-        labels=tuple(matrix.labels[r] for r in rows),
+        ids=[matrix.ids[r] for r in rows],
+        labels=[matrix.labels[r] for r in rows],
         feature_names=matrix.feature_names,
-        bits=matrix.bits[rows],
+        rows=[matrix.rows[r] for r in rows],
         mode=matrix.mode,
     )
 
@@ -242,9 +241,7 @@ def _fit_and_score(
 ) -> tuple[TrainedModel, FeatureSelection, list[float]]:
     """Rank, select and train on the corpus ``totals`` less the test rows' counts,
     then score the test rows. Returns (model, selection, test posteriors)."""
-    sus = np.array([lab is ClassLabel.SUSPICIOUS for lab in test.labels])
-    n_sus, n_ben = int(sus.sum()), int((~sus).sum())
-    pos_sus, pos_ben = (test.bits[rows].sum(axis=0).tolist() for rows in (sus, ~sus))
+    (n_sus, pos_sus), (n_ben, pos_ben) = class_counts(test)
     tables = [
         ContingencyTable(t.feature, t.n_pos_sus - s, t.n_pos_ben - b,
                          t.n_sus - n_sus, t.n_ben - n_ben)
@@ -281,7 +278,7 @@ def cross_validate(
         test = _rows(matrix, [row_of[app_id] for app_id in test_ids])
         _, selection, posteriors = _fit_and_score(totals, test, preset, top_n, alpha)
         decisions = [
-            ClassLabel.SUSPICIOUS if p >= THRESHOLD else ClassLabel.BENIGN for p in posteriors
+            SUSPICIOUS if p >= THRESHOLD else BENIGN for p in posteriors
         ]
         counts = confusion(test.labels, decisions)
         fold_results.append(

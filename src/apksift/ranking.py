@@ -1,4 +1,8 @@
-"""Mutual-information scoring, descending rank, and top-n selection.
+"""Contingency counts, mutual-information scoring, descending rank, and top-n selection.
+
+Counts are exact integers: a matrix's rows, each read as one integer,
+are summed 255 at a time and each sum is split back into its byte-wide
+columns (``class_counts``).
 
 Each feature's score is the plug-in mutual information (in bits, log
 base 2) between its binary indicator and the class variable, estimated
@@ -12,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from pathlib import Path
 
-import numpy as np
-
 from . import files
-from .corpus import ClassLabel
+from .corpus import SUSPICIOUS
 from .detectors import FeatureMatrix
 from .errors import RankingError
 
@@ -78,28 +81,32 @@ class FeatureSelection:
     tag: str
 
 
+def class_counts(matrix: FeatureMatrix) -> list[tuple[int, list[int]]]:
+    """(rows, per-feature positives) of the suspicious rows, then of the benign
+    rows. Rows are summed as integers (``row_ints``) 255 at a time, so no
+    byte-wide column sum carries into the next, and each sum is split back
+    into its columns with ``to_bytes``: exact integer counts."""
+    width, pairs = len(matrix.feature_names), list(zip(matrix.row_ints, matrix.labels))
+    counts = []
+    for group in ([v for v, lab in pairs if lab is SUSPICIOUS],
+                  [v for v, lab in pairs if lab is not SUSPICIOUS]):
+        columns = [0] * width
+        for start in range(0, len(group), 255):
+            columns = list(map(add, columns, sum(group[start:start + 255]).to_bytes(width, "big")))
+        counts.append((len(group), columns))
+    return counts
+
+
 def build_contingency(matrix: FeatureMatrix) -> list[ContingencyTable]:
     """Count per-feature positives in each class over a fully labeled matrix."""
     unlabeled = [matrix.ids[i] for i, lab in enumerate(matrix.labels) if lab is None]
     if unlabeled:
         raise RankingError(f"matrix contains unlabeled rows: {', '.join(unlabeled[:5])}")
-    sus_mask = np.array([lab is ClassLabel.SUSPICIOUS for lab in matrix.labels])
-    n_sus = int(sus_mask.sum())
-    n_ben = len(matrix) - n_sus
+    (n_sus, pos_sus), (n_ben, pos_ben) = class_counts(matrix)
     if n_sus == 0 or n_ben == 0:
         raise RankingError("both classes must be present to build contingency tables")
-    pos_sus = matrix.bits[sus_mask].sum(axis=0)
-    pos_ben = matrix.bits[~sus_mask].sum(axis=0)
-    return [
-        ContingencyTable(
-            feature=name,
-            n_pos_sus=int(pos_sus[j]),
-            n_pos_ben=int(pos_ben[j]),
-            n_sus=n_sus,
-            n_ben=n_ben,
-        )
-        for j, name in enumerate(matrix.feature_names)
-    ]
+    return [ContingencyTable(name, s, b, n_sus, n_ben)
+            for name, s, b in zip(matrix.feature_names, pos_sus, pos_ben)]
 
 
 def mutual_information(table: ContingencyTable) -> float:

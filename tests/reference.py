@@ -4,7 +4,8 @@ It answers the question ``detectors.extract_features`` answers (which
 catalog features does one sample set?) the slow, obvious way, and it
 imports nothing from extraction; it reads only the catalog's data:
 
-* each real ``smali``/``assets``/``lib``/``res`` directory is walked with
+* each real ``smali``/``smali_classes<N>``/``assets``/``lib``/``res``
+  directory (N >= 2, no leading zero) is walked with
   ``os.walk(followlinks=False)``; anything whose ``lstat`` is not a
   regular file is skipped, and so is a file over the read cap;
 * a native library is searched as raw bytes, every part anywhere; any
@@ -62,14 +63,28 @@ def declared_names(text: str) -> tuple[set[str], list[str]]:
         return (set(NAME_ATTR_RE.findall(text)),
                 [f"malformed manifest XML ({exc}); fell back to attribute scan"])
     names = {e.get(ANDROID_NAME) or e.get("android:name") for e in root.iter()
-             if e.tag.rsplit("}", 1)[-1] == "uses-permission"}
+             if e.tag.rsplit("}", 1)[-1] in ("uses-permission", "uses-permission-sdk-23")}
     return names - {None, ""}, []
+
+
+def _top_scope(name: str) -> str | None:
+    """Scope of a top-level directory name; smali_classes2, smali_classes3, ... are code."""
+    if name in SCOPE_OF_TOP:
+        return SCOPE_OF_TOP[name]
+    number = name[len("smali_classes"):]
+    if name.startswith("smali_classes") and number.isascii() and number.isdigit():
+        if number[0] != "0" and int(number) >= 2:
+            return "code"
+    return None
 
 
 def listed_files(app: str) -> list[tuple[str, str, str]]:
     """(relative path, scope, full path) of each regular file in the real scope directories."""
     found = []
-    for top, scope in SCOPE_OF_TOP.items():
+    tops = [(top, _top_scope(top)) for top in os.listdir(app)] if os.path.isdir(app) else []
+    for top, scope in tops:
+        if scope is None:
+            continue
         base = os.path.join(app, top)
         if os.path.islink(base) or not os.path.isdir(base):
             continue
@@ -166,7 +181,8 @@ def naive_cross_validate(matrix, preset=None, top_n=None, alpha=1.0, k=5, seed=0
 
     def rows(picked):
         return replace(matrix, ids=tuple(matrix.ids[r] for r in picked),
-                       labels=tuple(matrix.labels[r] for r in picked), bits=matrix.bits[picked])
+                       labels=tuple(matrix.labels[r] for r in picked),
+                       rows=tuple(matrix.rows[r] for r in picked))
 
     folds = stratified_kfold(list(matrix.ids), dict(zip(matrix.ids, matrix.labels)), k, seed)
     results, scores, truths = [], [], []
@@ -178,7 +194,7 @@ def naive_cross_validate(matrix, preset=None, top_n=None, alpha=1.0, k=5, seed=0
         selection = select_top(ranked, preset=preset, n=top_n)
         model = train(tables, selection.names, alpha=alpha, catalog_mode=matrix.mode)
         cols = [matrix.feature_names.index(n) for n in model.feature_names]
-        posteriors = [p for p, _ in nb_scores(model, [[int(matrix.bits[r, c]) for c in cols]
+        posteriors = [p for p, _ in nb_scores(model, [[matrix.rows[r][c] for c in cols]
                                                        for r in test_rows])]
         labels = [matrix.labels[r] for r in test_rows]
         counts = confusion(labels, [ClassLabel.SUSPICIOUS if p >= 0.5 else ClassLabel.BENIGN

@@ -147,7 +147,7 @@ def test_posterior_oracle_equivalence():
             ids=tuple(str(i) for i in range(len(vectors))),
             labels=(None,) * len(vectors),
             feature_names=model.feature_names,
-            bits=np.array(vectors, dtype=np.uint8),
+            rows=tuple(map(bytes, vectors)),
         )
         for bits, p in zip(vectors, posterior_matrix(model, matrix).tolist()):
             assert p == pytest.approx(linear_space_posterior(model, bits), abs=1e-12)

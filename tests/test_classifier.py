@@ -51,7 +51,7 @@ def random_model(rng: random.Random, n_features: int) -> TrainedModel:
 def vector_of(bits, names=None):
     """A one-row matrix holding ``bits``."""
     names = names or tuple(f"f{i}" for i in range(len(bits)))
-    return FeatureMatrix(("x",), (None,), tuple(names), np.array([bits], dtype=np.uint8))
+    return FeatureMatrix(("x",), (None,), tuple(names), (bytes(bits),))
 
 
 def posterior(model: TrainedModel, bits) -> float:
@@ -87,11 +87,10 @@ def test_decision_matches_argmax_oracle():
             assert classify(model, vector_of(bits))[0].decision is expected
 
 
-def test_scores_equal_the_written_rule_bit_for_bit():
-    """posterior_matrix and classify give exactly the reference rule's
-    floats: zero and full counts with alpha 0 rule classes out, and 40
-    features make a BLAS or pairwise sum round differently."""
-    rng = random.Random(2026)
+def _rule_cases(rng):
+    """(model, rows) pairs: random models and rows, then the edge shapes of a
+    memoized scorer: no feature, one feature, all rows equal, duplicate rows
+    interleaved, and alpha-0 rows that both classes rule out."""
     for _ in range(300):
         n = rng.randint(1, 40)
         n_ben, n_sus = rng.randint(1, 50), rng.randint(1, 50)
@@ -101,7 +100,24 @@ def test_scores_equal_the_written_rule_bit_for_bit():
 
         model = TrainedModel(tuple(f"f{i}" for i in range(n)), n_ben, n_sus, counts(n_ben),
                              counts(n_sus), rng.choice((0.0, 0.5, 1.0, 2.0)))
-        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(30)]
+        yield model, [[rng.randint(0, 1) for _ in range(n)] for _ in range(30)]
+    yield TrainedModel((), 3, 5, (), (), 1.0), [[], []]
+    yield TrainedModel(("f0",), 4, 6, (1,), (5,), 0.5), [[1], [0], [1], [1], [0]]
+    model = random_model(rng, 12)
+    yield model, [[1, 0] * 6] * 7
+    distinct = [[rng.randint(0, 1) for _ in range(12)] for _ in range(3)]
+    yield model, [distinct[i % 3] for i in range(10)] + distinct[::-1]
+    # f0 is set in every benign row and f1 in no suspicious row: a row with
+    # f0 clear and f1 set has probability 0 in both classes.
+    yield TrainedModel(("f0", "f1", "f2"), 4, 6, (4, 2, 1), (3, 0, 5), 0.0), [
+        [0, 1, 0], [1, 0, 1], [0, 1, 1], [0, 0, 1], [0, 1, 0], [1, 1, 0]]
+
+
+def test_scores_equal_the_written_rule_bit_for_bit():
+    """posterior_matrix and classify give exactly the reference rule's
+    floats: zero and full counts with alpha 0 rule classes out, and 40
+    features make a BLAS or pairwise sum round differently."""
+    for model, rows in _rule_cases(random.Random(2026)):
         m = _matrix(rows, [ClassLabel.BENIGN] * len(rows), names=model.feature_names)
         expected = nb_scores(model, rows)
         assert posterior_matrix(model, m).tolist() == [p for p, _ in expected]
@@ -115,7 +131,7 @@ def _matrix(rows, labels, names=("f0",)):
         ids=tuple(f"s{i}" for i in range(len(rows))),
         labels=tuple(labels),
         feature_names=tuple(names),
-        bits=np.array(rows, dtype=np.uint8),
+        rows=tuple(map(bytes, rows)),
     )
 
 

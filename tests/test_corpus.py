@@ -218,5 +218,12 @@ def test_scope_mapping():
     assert scope_of("smali") is scope_of("lib") is Scope.OTHER  # root files, not directories
 
 
+def test_scope_of_multidex_code():
+    assert scope_of("smali_classes2/a/B.smali") is scope_of("smali_classes31/B.smali") is Scope.CODE
+    for decoy in ("smali_classes", "smali_classes0", "smali_classes02", "smali_classes1",
+                  "smali_classes2x", "Smali", "smali_classes2\n", "smali_classes\u0662"):
+        assert scope_of(f"{decoy}/B.smali") is Scope.OTHER, decoy
+
+
 def test_class_label_values():
     assert {lab.value for lab in ClassLabel} == {"benign", "suspicious"}

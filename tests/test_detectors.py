@@ -19,7 +19,7 @@ from apksift.detectors import (
 )
 
 from conftest import Listing, manifest_with, write_labels, write_sample
-from reference import declared_names
+from reference import declared_names, reference_bits
 
 
 CATALOG_M = load_catalog("builtin", "M")
@@ -152,6 +152,15 @@ def test_declared_permissions_namespace_rules(text, names, malformed):
                          f"fell back to attribute scan"] if malformed else [])
 
 
+def test_sdk23_permission_counted(tmp_path, cat):
+    sdk23 = '    <uses-permission-sdk-23 android:name="android.permission.READ_SMS"/>\n'
+    manifest = manifest_with("SEND_SMS").replace("    <application/>", sdk23 + "    <application/>")
+    expected = {"android.permission.SEND_SMS", "android.permission.READ_SMS"}
+    assert declared_permissions(manifest) == declared_names(manifest) == (expected, [])
+    row = _extract_one(tmp_path, cat, manifest=manifest)
+    assert _bit(row, "READ_SMS") == _bit(row, "SEND_SMS") == 1
+
+
 # --- code-property matching -------------------------------------------------------
 
 def _code_bit(root, cat, text, name):
@@ -199,6 +208,24 @@ def test_payload_jar_not_apk(tmp_path, cat):
     row = _extract_one(tmp_path, cat, payloads=["res/raw/lib.jar"])
     assert _bit(row, ".jar") == 1
     assert _bit(row, ".apk") == 0
+
+
+MULTIDEX_DECOYS = ["smali_classes", "smali_classes0", "smali_classes02", "smali_classes1",
+                   "smali_classes2x", "Smali"]
+
+
+def test_multidex_code_is_read(tmp_path, cat):
+    """apktool writes dex files 2, 3, ... to smali_classes2/, smali_classes3/, ..."""
+    d = tmp_path / "a"
+    for top, text in [("smali_classes2", '    const-string v0, "chmod 755"\n'),
+                      ("smali_classes10", "    invoke-virtual {v0}, Lx;->getSubscriberId()V\n"),
+                      *((decoy, '    const-string v0, "remount"\n') for decoy in MULTIDEX_DECOYS)]:
+        (d / top / "p").mkdir(parents=True)
+        (d / top / "p" / "X.smali").write_text(text, encoding="utf-8")
+    row, stats = extract_features(load_corpus(tmp_path).samples[0], cat)
+    assert (_bit(row, "chmod"), _bit(row, "getSubscriberId"), _bit(row, "remount")) == (1, 1, 0)
+    assert stats.files_scanned["code"] == 2
+    assert list(row) == reference_bits(str(d), cat, 1 << 20)
 
 
 # --- extract_features ---------------------------------------------------------
@@ -538,7 +565,7 @@ def test_matrix_csv_matches_per_row_writer(tmp_path, ids, n_features):
         ids=ids,
         labels=tuple(labels[i % 3] for i in range(len(ids))),
         feature_names=tuple(f"f,{i}" for i in range(n_features)),
-        bits=rng.integers(0, 2, (len(ids), n_features), dtype=np.uint8),
+        rows=tuple(map(bytes, rng.integers(0, 2, (len(ids), n_features), dtype=np.uint8))),
     )
     out = tmp_path / "matrix.csv"
     write_matrix_csv(matrix, out)

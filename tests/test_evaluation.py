@@ -251,7 +251,7 @@ def _separable_matrix(n_per_class=20, n_features=3):
         ids=tuple(ids),
         labels=tuple(labels),
         feature_names=tuple(f"f{i}" for i in range(n_features)),
-        bits=bits,
+        rows=tuple(map(bytes, bits)),
         mode="M",
     )
 
@@ -288,7 +288,7 @@ def test_cross_validate_selection_per_fold_reported():
 
 def test_cross_validate_unlabeled_fatal():
     m = _separable_matrix(10, 2)
-    m = FeatureMatrix(m.ids, (None,) + m.labels[1:], m.feature_names, m.bits, m.mode)
+    m = FeatureMatrix(m.ids, (None,) + m.labels[1:], m.feature_names, m.rows, m.mode)
     with pytest.raises(EvaluationError):
         cross_validate(m, top_n=1, k=5, seed=0)
 
@@ -301,11 +301,12 @@ def test_cross_validate_ignores_row_order():
     bits = np.array([[rng.random() < (0.7 if lab is SUS and j % 2 else 0.3) for j in range(8)]
                      for lab in labels], dtype=np.uint8)
     names = tuple(f"f{j}" for j in range(8))
-    matrix = FeatureMatrix(tuple(ids), tuple(labels), names, bits, "M")
+    matrix = FeatureMatrix(tuple(ids), tuple(labels), names, tuple(map(bytes, bits)), "M")
     order = list(range(len(ids)))
     rng.shuffle(order)
     permuted = FeatureMatrix(
-        tuple(ids[r] for r in order), tuple(labels[r] for r in order), names, bits[order], "M"
+        tuple(ids[r] for r in order), tuple(labels[r] for r in order), names,
+        tuple(map(bytes, bits[order])), "M"
     )
     for selection in ({"top_n": 3}, {"preset": "5fT"}):
         a = cross_validate(matrix, **selection, k=5, seed=3)
@@ -329,7 +330,7 @@ def test_leakage_guard_test_labels_never_touch_training():
     for row in test_rows:
         permuted[row] = BEN if permuted[row] is SUS else SUS
     model_b, sel_b, post_b = fit(FeatureMatrix(
-        matrix.ids, tuple(permuted), matrix.feature_names, matrix.bits, matrix.mode
+        matrix.ids, tuple(permuted), matrix.feature_names, matrix.rows, matrix.mode
     ))
     assert model_a == model_b
     assert sel_a == sel_b
@@ -360,7 +361,8 @@ def _oracle_matrix(rng, n_ben, n_sus, n_features):
     bits = np.array(columns, dtype=np.uint8).T
     ids = tuple(f"app{i:03d}" for i in rng.sample(range(1000), len(labels)))
     names = tuple(f"f{j:02d}" for j in range(n_features))
-    return FeatureMatrix(ids, tuple(labels), names, bits, rng.choice(("M", "P", None)))
+    return FeatureMatrix(ids, tuple(labels), names, tuple(map(bytes, bits)),
+                         rng.choice(("M", "P", None)))
 
 
 def test_cross_validate_equals_naive_oracle():

@@ -39,7 +39,9 @@ CATALOG = parse_catalog(json.dumps(json.loads(builtin_catalog()) + [
      "scopes": ["assets", "native-lib"]},
 ]))
 
-TOPS = [b"smali", b"assets", b"lib", b"res", b"other"]
+# Multidex code directories, then decoys that hold no scope's files.
+TOPS = [b"smali", b"assets", b"lib", b"res", b"other", b"smali_classes2", b"smali_classes10",
+        b"smali_classes", b"smali_classes0", b"smali_classes02", b"smali_classes2x", b"Smali"]
 DIRS = [b"d", b".hid", b"\xff\xfe", b"n\xc3\xa9"]
 LEAVES = [b"A.smali", b".H.smali", b"\xff.smali", b"x.so", b"p.apk", b"t.txt"]
 CONTENTS = [b"chmod\n", b"getDeviceId\n", b"Runtime exec(\n", b"\xff\xfe remount\n",

@@ -134,7 +134,7 @@ def _matrix(ids, labels, names, bits):
         ids=tuple(ids),
         labels=tuple(labels),
         feature_names=tuple(names),
-        bits=np.array(bits, dtype=np.uint8),
+        rows=tuple(map(bytes, bits)),
     )
 
 
@@ -159,6 +159,16 @@ def test_build_contingency_all_zero_column():
     )
     (table,) = build_contingency(m)
     assert table.n_pos_ben == 0 and table.n_pos_sus == 0
+
+
+def test_build_contingency_exact_past_a_byte():
+    """Counts past 255 per column: rows are summed as integers in chunks that
+    no byte-wide column sum overflows."""
+    n, width = 600, 5
+    labels = [ClassLabel.BENIGN] * n + [ClassLabel.SUSPICIOUS] * n
+    m = FeatureMatrix(tuple(f"a{i}" for i in range(2 * n)), tuple(labels),
+                      tuple(f"f{j}" for j in range(width)), (b"\x01" * width,) * (2 * n))
+    assert [(t.n_pos_ben, t.n_pos_sus) for t in build_contingency(m)] == [(n, n)] * width
 
 
 def test_build_contingency_unlabeled_fatal():
