@@ -17,6 +17,7 @@ import dataclasses
 import math
 import sys
 import time
+from pathlib import Path
 
 from . import catalog as catalog_mod
 from . import classifier as classifier_mod
@@ -61,10 +62,21 @@ def _add_catalog_args(p: argparse.ArgumentParser):
                    help="feature regime: P permissions, C code properties, M mixed")
 
 
-def _add_selection_args(p: argparse.ArgumentParser):
+def _presets(text: str) -> list[str]:
+    if not set(names := text.split(",")) <= ranking.PRESETS.keys() or len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(
+            f"not a comma list of distinct presets from {sorted(ranking.PRESETS)}: {text!r}")
+    return names
+
+
+def _add_selection_args(p: argparse.ArgumentParser, many: bool = False):
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--features", choices=sorted(ranking.PRESETS),
-                       help="named selection preset")
+    if many:
+        group.add_argument("--features", type=_presets, metavar="PRESET[,PRESET...]",
+                           help="named selection preset(s); two or more write OUT/PRESET/")
+    else:
+        group.add_argument("--features", choices=sorted(ranking.PRESETS),
+                           help="named selection preset")
     group.add_argument("--top", type=int, metavar="N", help="select the top N ranked features")
 
 
@@ -125,7 +137,7 @@ def build_parser() -> _Parser:
     )
     _add_corpus_args(p, labels_required=True)
     _add_catalog_args(p)
-    _add_selection_args(p)
+    _add_selection_args(p, many=True)
     p.add_argument("--alpha", type=_finite, default=1.0)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
@@ -265,19 +277,21 @@ def _cmd_classify(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     matrix, _ = _extract(args, labeled_only=True)
-    report = evaluation.cross_validate(
-        matrix,
-        **_selection_args(args),
-        alpha=args.alpha,
-        k=args.folds,
-        seed=args.seed,
-    )
+    selections = ([{"preset": p, "top_n": None} for p in args.features] if args.features
+                  else [_selection_args(args)])
+    reports = {s["preset"]: evaluation.cross_validate(matrix, **s, alpha=args.alpha, k=args.folds,
+                                                      seed=args.seed)
+               for s in selections}  # one shared fold plan; no file is written until all pass
     formats = {"json": ("json",), "csv": ("csv",), "all": ("json", "csv", "svg")}[args.format]
-    written = evaluation.emit_report(report, args.out, formats=formats)
-    avg = report.averaged.as_floats()
-    print(f"averaged acc={avg['acc']:.5f} err={avg['err']:.5f} auc={report.roc.auc:.5f}")
-    for path in written:
-        print(f"wrote {path}")
+    many = len(reports) > 1
+    for preset, report in reports.items():
+        written = evaluation.emit_report(report, Path(args.out, preset) if many else args.out,
+                                         formats=formats)
+        avg = report.averaged.as_floats()
+        print(f"{preset + ': ' if many else ''}averaged acc={avg['acc']:.5f} "
+              f"err={avg['err']:.5f} auc={report.roc.auc:.5f}")
+        for path in written:
+            print(f"wrote {path}")
     return 0
 
 

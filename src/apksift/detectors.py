@@ -125,7 +125,8 @@ class ExtractionStats:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Per-sample rows (one 0/1 byte per feature) in corpus order, with labels attached."""
+    """Per-sample rows (one 0/1 byte per feature) in corpus order, with labels attached.
+    ``row_ints`` and the fold plans are computed once: never mutate a matrix."""
 
     ids: tuple[str, ...]
     labels: tuple[ClassLabel | None, ...]
@@ -140,6 +141,11 @@ class FeatureMatrix:
     def row_ints(self) -> list[int]:
         """Each row read as one integer, its first feature the high byte; computed once."""
         return [int.from_bytes(row, "big") for row in self.rows]
+
+    @functools.cached_property
+    def fold_plans(self) -> dict:
+        """``evaluation.cross_validate``'s fold plans, keyed by (k, seed)."""
+        return {}
 
     @property
     def bits(self):

@@ -13,6 +13,11 @@ and dealt round-robin over the k folds. The same inputs always reproduce
 the same folds, on any platform. Each fold's training counts are the
 corpus counts minus its test rows' counts: exact, the same bits as a recount.
 
+No fold step depends on the selection or alpha: the folds, test rows,
+training counts and rankings are one fold plan per (matrix, k, seed), kept
+on the matrix (``FeatureMatrix.fold_plans``) by the first call after the
+selection is checked, so each later call only selects, trains and scores.
+
 One ROC curve is computed from the test scores of all folds pooled
 together: thresholds sweep the distinct score values (with sentinels
 above the maximum and below the minimum), ties are grouped into a single
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -34,8 +40,8 @@ from .classifier import TrainedModel, posterior_matrix, train
 from .corpus import BENIGN, PATH_KEY, SUSPICIOUS, ClassLabel
 from .detectors import FeatureMatrix
 from .errors import EvaluationError
-from .ranking import (ContingencyTable, FeatureSelection, build_contingency, class_counts,
-                      rank_features, select_top)
+from .ranking import (ContingencyTable, FeatureSelection, RankedFeature, build_contingency,
+                      class_counts, rank_features, select_top)
 from .rng import SplitMix64
 
 REPORT_SCHEMA_VERSION = 1
@@ -224,32 +230,49 @@ def _mean_metrics(per_fold: list[MetricSet]) -> tuple[MetricSet, int]:
 
 def _rows(matrix: FeatureMatrix, rows: list[int]) -> FeatureMatrix:
     return FeatureMatrix(
-        ids=[matrix.ids[r] for r in rows],
-        labels=[matrix.labels[r] for r in rows],
+        ids=tuple(matrix.ids[r] for r in rows),
+        labels=tuple(matrix.labels[r] for r in rows),
         feature_names=matrix.feature_names,
-        rows=[matrix.rows[r] for r in rows],
+        rows=tuple(matrix.rows[r] for r in rows),
         mode=matrix.mode,
     )
 
 
-def _fit_and_score(
-    totals: list[ContingencyTable],
-    test: FeatureMatrix,
-    preset: str | None,
-    top_n: int | None,
-    alpha: float,
-) -> tuple[TrainedModel, FeatureSelection, list[float]]:
-    """Rank, select and train on the corpus ``totals`` less the test rows' counts,
-    then score the test rows. Returns (model, selection, test posteriors)."""
+def _fold_tables(totals: list[ContingencyTable], test: FeatureMatrix) -> tuple[list, list]:
+    """The training tables (the corpus ``totals`` less the test rows' counts), ranked."""
     (n_sus, pos_sus), (n_ben, pos_ben) = class_counts(test)
-    tables = [
-        ContingencyTable(t.feature, t.n_pos_sus - s, t.n_pos_ben - b,
-                         t.n_sus - n_sus, t.n_ben - n_ben)
-        for t, s, b in zip(totals, pos_sus, pos_ben)
-    ]
-    selection = select_top(rank_features(tables), preset=preset, n=top_n)
+    tables = [ContingencyTable(t.feature, t.n_pos_sus - s, t.n_pos_ben - b, t.n_sus - n_sus,
+                               t.n_ben - n_ben) for t, s, b in zip(totals, pos_sus, pos_ben)]
+    return tables, rank_features(tables)
+
+
+def _select_and_score(tables: list[ContingencyTable], ranked: list[RankedFeature],
+                      test: FeatureMatrix, preset: str | None, top_n: int | None,
+                      alpha: float) -> tuple[TrainedModel, FeatureSelection, list[float]]:
+    """Select from a fold's ranking, train on its tables and score its test rows."""
+    selection = select_top(ranked, preset=preset, n=top_n)
     model = train(tables, selection.names, alpha=alpha, catalog_mode=test.mode)
     return model, selection, posterior_matrix(model, test).tolist()
+
+
+def _fit_and_score(totals: list[ContingencyTable], test: FeatureMatrix, preset: str | None,
+                   top_n: int | None, alpha: float) -> tuple:
+    """Rank, select and train on the corpus ``totals`` less the test rows' counts,
+    then score the test rows. Returns (model, selection, test posteriors)."""
+    return _select_and_score(*_fold_tables(totals, test), test, preset, top_n, alpha)
+
+
+def _fold_plan(matrix: FeatureMatrix, labels: dict[str, ClassLabel], k: int, seed: int) -> list:
+    """Each fold's (test rows, training tables, ranking), built once per (k, seed)."""
+    key = (operator.index(k), operator.index(seed))  # 5.0 must not hit the plan of 5
+    if key not in matrix.fold_plans:
+        totals = build_contingency(matrix)
+        row_of = {app_id: i for i, app_id in enumerate(matrix.ids)}
+        # Test rows keep fold order for the pooled ROC; counts ignore row order.
+        tests = [_rows(matrix, [row_of[app_id] for app_id in test_ids])
+                 for test_ids in stratified_kfold(list(matrix.ids), labels, k=k, seed=seed)]
+        matrix.fold_plans[key] = [(test, *_fold_tables(totals, test)) for test in tests]
+    return matrix.fold_plans[key]
 
 
 def cross_validate(
@@ -266,17 +289,14 @@ def cross_validate(
     labels = dict(zip(matrix.ids, matrix.labels))
     if None in labels.values() or len(labels) != len(matrix):  # unlabeled, or an id repeated
         raise EvaluationError("cross-validation requires a fully labeled matrix")
-    folds = stratified_kfold(list(matrix.ids), labels, k=k, seed=seed)
-    totals = build_contingency(matrix)
-    row_of = {app_id: i for i, app_id in enumerate(matrix.ids)}
+    # select_top's checks on a ranking of the right length, before any fold work
+    select_top([RankedFeature("", 0.0, 0, 0)] * len(matrix.feature_names), preset, top_n)
 
     fold_results: list[FoldResult] = []
     pooled_scores: list[float] = []
     pooled_labels: list[ClassLabel] = []
-    for fold_index, test_ids in enumerate(folds):
-        # Test rows keep fold order for the pooled ROC; counts ignore row order.
-        test = _rows(matrix, [row_of[app_id] for app_id in test_ids])
-        _, selection, posteriors = _fit_and_score(totals, test, preset, top_n, alpha)
+    for fold_index, (test, tables, ranked) in enumerate(_fold_plan(matrix, labels, k, seed)):
+        _, selection, posteriors = _select_and_score(tables, ranked, test, preset, top_n, alpha)
         decisions = [
             SUSPICIOUS if p >= THRESHOLD else BENIGN for p in posteriors
         ]
@@ -284,7 +304,7 @@ def cross_validate(
         fold_results.append(
             FoldResult(
                 fold=fold_index,
-                test_ids=test_ids,
+                test_ids=list(test.ids),
                 counts=counts,
                 metrics=metrics(counts),
                 selected_features=list(selection.names),

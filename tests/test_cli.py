@@ -51,6 +51,18 @@ def test_missing_required_flag_usage_error():
     assert _systemexit_code(["rank", "--mode", "M"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--features", "15f,bogus"],
+    ["evaluate", "--features", "15f,15f"],
+    ["evaluate", "--features", "15f,"],
+    ["train", "--features", "5fT,5fL"],  # a model has one selection
+])
+def test_bad_preset_list_is_usage_error(tmp_path, argv):
+    assert _systemexit_code([*argv, "--corpus", str(tmp_path), "--labels",
+                             str(tmp_path / "labels.csv"), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_corpus_is_data_error(tmp_path, capsys):
     labels = write_labels(tmp_path, [])
     code = main(["rank", "--corpus", str(tmp_path / "nope"), "--labels", str(labels),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -9,7 +10,7 @@ import pytest
 from apksift.classifier import train
 from apksift.corpus import ClassLabel
 from apksift.detectors import FeatureMatrix
-from apksift.errors import EvaluationError
+from apksift.errors import EvaluationError, RankingError
 from apksift.evaluation import (
     ConfusionCounts,
     _fit_and_score,
@@ -382,6 +383,46 @@ def test_cross_validate_equals_naive_oracle():
                 naive = naive_cross_validate(matrix, **selection, alpha=alpha, k=k, seed=seed)
                 naive.config = fast.config
                 assert report_to_dict(fast) == report_to_dict(naive), (k, alpha, selection)
+
+
+def test_fold_plans_do_not_leak_between_calls():
+    """Two matrix objects, each serving every preset (repeated, out of order) and
+    top_n 7 at two seeds, k 3 and 5 and alpha 1 and 0, in one interleaved order:
+    every report equals the naive oracle and the same call on a fresh copy of its
+    matrix, and each matrix keeps one plan per (k, seed)."""
+    rng = random.Random(33)
+    matrices = [_oracle_matrix(rng, 24, 19, 22), _oracle_matrix(rng, 17, 26, 21)]
+    selections = [{"preset": p} for p in PRESETS] + [{"top_n": 7}]
+    calls = [(m, sel, alpha, k, seed) for m in matrices for sel in selections
+             for alpha in (1.0, 0.0) for k in (3, 5) for seed in (4, 9)]
+    rng.shuffle(calls)
+    for matrix, selection, alpha, k, seed in calls + calls[::5]:
+        args = dict(selection, alpha=alpha, k=k, seed=seed)
+        shared = cross_validate(matrix, **args)
+        fresh = cross_validate(dataclasses.replace(matrix), **args)
+        naive = naive_cross_validate(matrix, **args)
+        naive.config = shared.config
+        assert report_to_dict(shared) == report_to_dict(fresh) == report_to_dict(naive), args
+        assert [f.test_ids for f in shared.folds] == [f.test_ids for f in naive.folds]
+        shared.folds[0].test_ids.clear()  # a caller's edit to its report reaches no plan
+        shared.folds[0].selected_features.clear()
+    for matrix in matrices:
+        assert set(matrix.fold_plans) == {(3, 4), (3, 9), (5, 4), (5, 9)}
+
+
+@pytest.mark.parametrize("selection, message", [
+    ({"preset": "20f"}, "selection '20f' needs 20 ranked features, only 10 available"),
+    ({"top_n": 11}, "selection 'custom-11' needs 11 ranked features, only 10 available"),
+    ({"top_n": 0}, "top-n selection needs n >= 1, got 0"),
+    ({"preset": "30f"}, "unknown preset '30f'"),
+    ({}, "specify exactly one of preset or n"),
+])
+def test_bad_selection_fails_before_any_fold_work(selection, message):
+    matrix = _separable_matrix(10, 10)
+    with pytest.raises(RankingError) as caught:
+        cross_validate(matrix, **selection, k=5, seed=1)
+    assert str(caught.value).startswith(message)
+    assert matrix.fold_plans == {}
 
 
 # --- emit_report -------------------------------------------------------------------

@@ -8,8 +8,10 @@ deliberate format change must record new digests and say why.
 
 The predictions CSV of ``classify`` is not pinned here; its posteriors
 and scores are checked against oracles in test_classifier.py. The report
-is also rebuilt in subprocesses under other BLAS kernels and numpy SIMD
-paths, and must come out byte-identical.
+is also rebuilt in subprocesses under other string-hash seeds and on one
+CPU (extraction in-process where the other runs fork), and must come out
+byte-identical; and a five-preset ``evaluate`` writes, per preset, the
+bytes of that preset's own run.
 
 A second, hand-built corpus pins extraction itself: matrix bytes, warning
 texts and per-scope file counts (see the extraction contract below).
@@ -18,6 +20,7 @@ texts and per-scope file counts (see the extraction contract below).
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import apksift
+from apksift import detectors
 from apksift.catalog import (
     builtin_catalog,
     data_table_path,
@@ -36,6 +40,7 @@ from apksift.cli import main
 from apksift.corpus import load_corpus
 from apksift.corpusgen import FrequencyEntry, FrequencySpec, generate, spec_from_table
 from apksift.detectors import extract_corpus, write_matrix_csv
+from apksift.ranking import PRESETS
 
 from conftest import manifest_with, write_sample
 
@@ -78,23 +83,29 @@ def test_output_bytes_frozen(outputs, name):
     assert digest == FROZEN_SHA256[name], f"{name} changed"
 
 
-# Settings that change how numpy and OpenBLAS compute. Never name a baseline
-# feature such as X86_V2 in NPY_DISABLE_CPU_FEATURES: numpy then refuses to import.
+# Settings under which a run could still differ: the string hash seed (set and
+# dict order of str keys) and, since every run extracts with MIN_SHARE 1 so that
+# the others fork, one usable CPU, on which extraction runs in-process.
 CPU_SETTINGS = (
     {},
-    {"OPENBLAS_CORETYPE": "Prescott"},
-    {"OPENBLAS_CORETYPE": "Haswell"},
-    {"NPY_DISABLE_CPU_FEATURES": "X86_V4"},
+    {"PYTHONHASHSEED": "0"},
+    {"PYTHONHASHSEED": "4242"},
+    {"ONE_CPU": "taskset"},
 )
+RUN = ("import sys; from apksift import detectors; from apksift.cli import main; "
+       "detectors.MIN_SHARE = 1; sys.exit(main(sys.argv[1:]))")
 
 
 def test_report_bytes_do_not_depend_on_the_cpu(outputs):
+    if shutil.which("taskset") is None or not hasattr(os, "sched_getaffinity"):
+        pytest.skip("needs taskset")
+    one_cpu = ["taskset", "-c", str(min(os.sched_getaffinity(0)))]
     corpus = outputs / "corpus"
     src = str(Path(apksift.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     runs = [
         subprocess.Popen(
-            [sys.executable, "-m", "apksift.cli", "evaluate", "--corpus", str(corpus),
+            [*(one_cpu if "ONE_CPU" in setting else []), sys.executable, "-c", RUN, "evaluate", "--corpus", str(corpus),
              "--labels", str(corpus / "labels.csv"), "--mode", "M", "--features", "15f",
              "--seed", str(SEED), "--out", str(outputs / f"cpu-{i}")],
             env={**os.environ, **setting, "PYTHONPATH": path},
@@ -109,6 +120,29 @@ def test_report_bytes_do_not_depend_on_the_cpu(outputs):
     for i, setting in enumerate(CPU_SETTINGS):
         got = {p.name: p.read_bytes() for p in (outputs / f"cpu-{i}").iterdir()}
         assert got == expected, setting
+
+
+def test_preset_list_writes_each_preset_as_its_own_run(outputs, monkeypatch, capsys):
+    """``evaluate --features 5fT,5fL,10f,15f,20f`` extracts once and writes each
+    preset's files to OUT/PRESET/, byte for byte those of ``--features PRESET``."""
+    corpus = outputs / "corpus"
+    common = ["evaluate", "--corpus", str(corpus), "--labels", str(corpus / "labels.csv"),
+              "--mode", "M", "--seed", str(SEED)]
+    extract, calls = detectors.extract_corpus, []
+    monkeypatch.setattr(detectors, "extract_corpus",
+                        lambda *a, **kw: calls.append(a) or extract(*a, **kw))
+    assert main([*common, "--features", ",".join(PRESETS), "--out", str(outputs / "all")]) == 0
+    assert len(calls) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[::5]] == list(PRESETS)
+    assert sorted(p.name for p in (outputs / "all").iterdir()) == sorted(PRESETS)
+    for preset in PRESETS:
+        assert main([*common, "--features", preset, "--out", str(outputs / preset)]) == 0
+        alone = {p.name: p.read_bytes() for p in (outputs / preset).iterdir()}
+        assert {p.name: p.read_bytes() for p in (outputs / "all" / preset).iterdir()} == alone
+        assert capsys.readouterr().out.startswith("averaged acc=")
+    assert (outputs / "all" / "15f" / "report.json").read_bytes() == (
+        outputs / "report" / "report.json").read_bytes()
 
 
 # --- extraction contract --------------------------------------------------------
